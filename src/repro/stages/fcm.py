@@ -34,7 +34,6 @@ import numpy as np
 from repro.bitpack import words_from_bytes, words_to_bytes
 from repro.errors import CorruptDataError
 from repro.stages import ByteLike, Stage
-from repro.stages._frame import Writer
 
 #: How many preceding sorted pairs are inspected for a match (paper: 4).
 MATCH_WINDOW = 4
@@ -47,18 +46,77 @@ _MIX3 = np.uint64(0x165667B19E3779F9)
 def _context_hash(words: np.ndarray) -> np.ndarray:
     """64-bit hash of the three words preceding each position (0-padded)."""
     n = len(words)
-    prior1 = np.zeros(n, dtype=np.uint64)
-    prior2 = np.zeros(n, dtype=np.uint64)
-    prior3 = np.zeros(n, dtype=np.uint64)
-    prior1[1:] = words[:-1]
-    prior2[2:] = words[:-2]
-    prior3[3:] = words[:-3]
-    h = prior1 * _MIX1 ^ prior2 * _MIX2 ^ prior3 * _MIX3
+    h = np.zeros(n, dtype=np.uint64)
+    scratch = np.empty(n, dtype=np.uint64)
+    # A missing prior word is 0 and contributes 0 * MIX = 0, so each term
+    # is XOR-ed in only where its prior exists.
+    np.multiply(words[:-1], _MIX1, out=h[1:])
+    for lag, mix in ((2, _MIX2), (3, _MIX3)):
+        np.multiply(words[:-lag], mix, out=scratch[lag:])
+        h[lag:] ^= scratch[lag:]
     # Final avalanche so nearby contexts do not collide systematically.
-    h ^= h >> np.uint64(29)
+    np.right_shift(h, np.uint64(29), out=scratch)
+    h ^= scratch
     h *= _MIX1
-    h ^= h >> np.uint64(32)
+    np.right_shift(h, np.uint64(32), out=scratch)
+    h ^= scratch
     return h
+
+
+def _stable_hash_order(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, hashes[order])`` with ``order`` the stable argsort of ``hashes``.
+
+    numpy's stable sort of 64-bit keys is a timsort; a plain value sort is
+    many times faster.  So the index rides in the low ``b`` bits of one
+    packed key, ``(hash >> b) << b | index``, and the keys get a value
+    sort: equal high bits order by index, exactly as a stable sort orders
+    equal hashes.  The packed order differs from the stable one only
+    where distinct hashes share their high bits; such a group shows up as
+    a descent in the gathered hashes and is re-sorted stably on its own.
+    """
+    n = len(hashes)
+    b = np.uint64((n - 1).bit_length())
+    key = hashes >> b
+    key <<= b
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    key &= (np.uint64(1) << b) - np.uint64(1)
+    order = key.view(np.int64)
+    sorted_hashes = hashes[order]
+    descents = np.flatnonzero(sorted_hashes[1:] < sorted_hashes[:-1])
+    if len(descents):
+        high = sorted_hashes >> b
+        group = np.zeros(n, dtype=np.int64)
+        np.cumsum(high[1:] != high[:-1], out=group[1:])
+        sel = np.flatnonzero(np.isin(group, group[descents]))
+        # Groups sit in ascending high-bit order, so one stable sort over
+        # all affected positions keeps every group inside its own span.
+        fix = np.argsort(sorted_hashes[sel], kind="stable")
+        order[sel] = order[sel[fix]]
+        sorted_hashes[sel] = sorted_hashes[sel[fix]]
+    return order, sorted_hashes
+
+
+def _resolve_chains(dist: np.ndarray, damaged: np.ndarray | None = None) -> np.ndarray:
+    """Chain root of every position, by pointer doubling.
+
+    ``dist`` holds in-range backward distances (0 = own root).  When
+    ``damaged`` is given it is OR-ed along the chains in place, so a
+    position ends up damaged if anything on its chain was.  Two buffers
+    alternate roles, so no sweep allocates.
+    """
+    parent = np.arange(len(dist), dtype=np.int64)
+    parent -= dist
+    scratch = np.empty_like(parent)
+    taint = None if damaged is None else np.empty_like(damaged)
+    while True:
+        if damaged is not None:
+            np.take(damaged, parent, out=taint)
+            damaged |= taint
+        np.take(parent, parent, out=scratch)
+        if np.array_equal(scratch, parent):
+            return parent
+        parent, scratch = scratch, parent
 
 
 class FCMStage(Stage):
@@ -68,9 +126,9 @@ class FCMStage(Stage):
     word_bits = 64
 
     def __init__(self, match_window: int = MATCH_WINDOW, hash_fn=None) -> None:
-        """``hash_fn`` maps the word array to per-position context hashes;
-        injectable so the paper's Figure 6 worked example (which uses
-        simplified hashes) can be tested verbatim."""
+        """``hash_fn`` maps the word array to per-position uint64 context
+        hashes; injectable so the paper's Figure 6 worked example (which
+        uses simplified hashes) can be tested verbatim."""
         if match_window < 1:
             raise ValueError("match window must be at least 1")
         self.match_window = match_window
@@ -82,14 +140,14 @@ class FCMStage(Stage):
         # every 64-bit word off its natural alignment inside the chunks.
         words, tail = words_from_bytes(data, 64)
         n = len(words)
-        values, distances = self._find_matches(words)
-        writer = Writer()
-        writer.raw(words_to_bytes(values))
-        writer.raw(words_to_bytes(distances))
-        writer.raw(tail)
-        writer.u8(len(tail))
-        writer.u64(n)
-        return writer.getvalue()
+        trailer = tail + bytes([len(tail)]) + n.to_bytes(8, "little")
+        out = np.empty(16 * n + len(trailer), dtype=np.uint8)
+        # The match finder writes straight into the output buffer.
+        self._find_matches(
+            words, out[: 8 * n].view("<u8"), out[8 * n : 16 * n].view("<u8")
+        )
+        out[16 * n :] = np.frombuffer(trailer, dtype=np.uint8)
+        return out.tobytes()
 
     @staticmethod
     def split_payload(payload: bytes) -> tuple[np.ndarray, np.ndarray, bytes]:
@@ -112,32 +170,33 @@ class FCMStage(Stage):
         tail = payload[16 * n : 16 * n + tail_len]
         return values, distances, tail
 
-    def _find_matches(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _find_matches(
+        self, words: np.ndarray, values: np.ndarray, distances: np.ndarray
+    ) -> None:
+        """Fill ``values`` and ``distances`` (length ``len(words)``) in place."""
+        values[:] = words
+        distances[:] = 0
         n = len(words)
-        values = words.copy()
-        distances = np.zeros(n, dtype=np.uint64)
-        if n == 0:
-            return values, distances
-        hashes = self.hash_fn(words)
-        order = np.argsort(hashes, kind="stable")  # ties keep index order
-        sorted_hashes = hashes[order]
-        sorted_words = words[order]
-        matched = np.zeros(n, dtype=bool)
-        match_source = np.zeros(n, dtype=np.int64)
+        if n < 2:
+            return  # a match needs an earlier word
+        order, sorted_hashes = _stable_hash_order(self.hash_fn(words))
+        # Sorted positions that share their predecessor's hash: the only
+        # places a match can occur.  Equal hashes are contiguous, so the
+        # set shrinks as the offset grows, and a matched position leaves.
+        cand = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1]) + 1
         for offset in range(1, self.match_window + 1):
-            same = (sorted_hashes[offset:] == sorted_hashes[:-offset]) & (
-                sorted_words[offset:] == sorted_words[:-offset]
-            )
-            fresh = same & ~matched[offset:]
-            matched[offset:] |= fresh
-            # Record the *input* index of the matched earlier occurrence.
-            idx = np.nonzero(fresh)[0] + offset
-            match_source[idx] = order[idx - offset]
-        matched_positions = order[matched]
-        sources = match_source[matched]
-        values[matched_positions] = 0
-        distances[matched_positions] = (matched_positions - sources).astype(np.uint64)
-        return values, distances
+            if offset > 1:
+                cand = cand[np.searchsorted(cand, offset):]
+                cand = cand[sorted_hashes[cand - offset] == sorted_hashes[cand]]
+            if not len(cand):
+                break
+            pos = order[cand]
+            src = order[cand - offset]
+            hit = words[pos] == words[src]
+            pos = pos[hit]
+            values[pos] = 0
+            distances[pos] = pos - src[hit]
+            cand = cand[~hit]
 
     def decode(self, data: ByteLike) -> bytes:
         values, distances, tail = self.split_payload(data)
@@ -152,18 +211,7 @@ class FCMStage(Stage):
             # pointer-doubling sweep would be an identity walk.
             words = values
         else:
-            # Parallel union-find "find" via pointer doubling.  The two
-            # buffers alternate roles so each sweep reuses scratch space
-            # instead of allocating a fresh `grand` array.
-            parent = np.arange(n, dtype=np.int64)
-            parent -= dist
-            scratch = np.empty_like(parent)
-            while True:
-                np.take(parent, parent, out=scratch)
-                if np.array_equal(scratch, parent):
-                    break
-                parent, scratch = scratch, parent
-            words = values[parent]
+            words = values[_resolve_chains(dist)]
         return words_to_bytes(np.ascontiguousarray(words, dtype="<u8"), tail)
 
     def max_encoded_len(self, input_len: int) -> int:
@@ -195,7 +243,7 @@ class FCMStage(Stage):
             raise CorruptDataError("FCM tail/trailer overlaps a damaged range")
         if n == 0:
             return bytes(tail), ()
-        entry_damaged = (
+        damaged = (
             mask[: 8 * n].reshape(n, 8).any(axis=1)
             | mask[8 * n : 16 * n].reshape(n, 8).any(axis=1)
         )
@@ -204,17 +252,9 @@ class FCMStage(Stage):
         if bad.any():
             # Zero-filled entries decode as distance 0, so out-of-range
             # distances are undetected corruption: taint, don't abort.
-            entry_damaged |= bad
+            damaged |= bad
             dist = np.where(bad, 0, dist)
-        parent = np.arange(n, dtype=np.int64) - dist
-        damaged = entry_damaged.copy()
-        while True:
-            damaged = damaged | damaged[parent]
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-        words = values[parent]
+        words = values[_resolve_chains(dist, damaged)]
         out = words_to_bytes(np.ascontiguousarray(words, dtype="<u8"), tail)
         # Collapse consecutive damaged words into byte ranges.
         idx = np.nonzero(damaged)[0]
