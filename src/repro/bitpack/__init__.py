@@ -17,7 +17,7 @@ transformations are built from:
 * :mod:`repro.bitpack.bytes_util` — byte views, byte shuffles, safe casts.
 * :mod:`repro.bitpack.backend` — the kernel backend registry: the hot
   kernels above dispatch through it, so accelerated implementations
-  (numba JIT, cupy) can be swapped in per process without touching call
+  (numba JIT) can be swapped in per process without touching call
   sites.  Every backend must be byte-identical to the numpy reference.
 
 All functions operate on numpy arrays and are pure (no in-place mutation

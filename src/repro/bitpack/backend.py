@@ -27,11 +27,7 @@ site gets:
   (:mod:`repro.bitpack._numba_kernels`), **auto-selected when numba is
   importable**: the loops collapse the multi-pass numpy pipelines into
   single passes and release the GIL, so the ``threaded`` executor policy
-  scales where numpy dispatch serialized it;
-* ``cupy`` — a GPU stub (:mod:`repro.bitpack._cupy_kernels`) wired
-  through the same interface, registered only when cupy imports;
-  never auto-selected (host<->device transfers lose on 16 KiB chunks —
-  it exists for explicit real-GPU runs).
+  scales where numpy dispatch serialized it.
 
 Resolution order per call: an explicit :func:`set_backend` /
 :func:`use_backend` choice, else the ``FPRZ_KERNEL_BACKEND`` environment
@@ -167,10 +163,6 @@ def _ensure_builtin_backends() -> None:
 
     if _numba_kernels.HAVE_NUMBA:
         register_backend(_numba_kernels.make_backend())
-    from repro.bitpack import _cupy_kernels
-
-    if _cupy_kernels.HAVE_CUPY:
-        register_backend(_cupy_kernels.make_backend())
 
 
 def available_backends() -> tuple[str, ...]:
@@ -192,7 +184,7 @@ def get_backend(name: str) -> KernelBackend:
         raise ReproError(
             f"unknown kernel backend {name!r}; available: "
             f"{', '.join(available_backends())} "
-            f"(numba/cupy register only when importable)"
+            f"(numba registers only when importable)"
         )
     return backend
 

@@ -767,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tag stored inside the trajectory point (e.g. pr3)")
     p.add_argument("--backend", default=None,
                    help="kernel backend for measured/trajectory runs: "
-                        "numpy | numba | cupy (default: auto — numba "
+                        "numpy | numba (default: auto — numba "
                         "when importable, else numpy)")
     p.set_defaults(func=_cmd_bench)
 
@@ -843,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds to wait for in-flight jobs on shutdown")
     p.add_argument("--backend", default=None,
                    help="kernel backend the service pins at startup: "
-                        "numpy | numba | cupy (default: auto)")
+                        "numpy | numba (default: auto)")
     p.add_argument("--stream-window", type=int, default=4 * 1024 * 1024,
                    help="per-stream flow-control window in bytes: the "
                         "server never buffers more than this per "

@@ -1,17 +1,26 @@
-"""Worker-process entry points for the shared-memory process executor.
+"""Block jobs: the one encode and one decode routine every executor runs.
 
-Everything here must be picklable by reference (module-level functions,
-plain-tuple tasks), because :class:`~repro.core.executors.SharedMemoryProcessExecutor`
-ships work to its pool via ``multiprocessing``.  Bulk bytes travel
-through named shared memory; only the small task descriptions and the
-(compressed) results cross the pipe.
+A *block* is a contiguous, ascending run of planned chunks that share one
+pipeline.  :func:`encode_block` and :func:`decode_block` are the only
+chunk loops of the engine: the thread executors call them from the jobs
+:mod:`repro.core.compressor` builds (wrapped with trace records), and the
+shared-memory process pool calls them from :func:`proc_encode_block` /
+:func:`proc_decode_block` (wrapped with shared-memory copies).  They live
+here, not in the engine, so worker processes import them without
+importing the engine.
 
-Error contract: a failing chunk is reported as ``(index, type_name,
-message)``.  The parent rebuilds the exception class from
-:mod:`repro.errors` by name (:func:`rebuild_error`), and the messages are
-produced by the same :func:`decode_chunk_guarded` helper the in-process
-engine uses for its batched fallback — so a corrupt chunk raises the
-byte-identical error under every executor policy.
+Everything a worker process runs must be picklable by reference
+(module-level functions, plain-tuple tasks); bulk bytes travel through
+named shared memory, only the small task descriptions and the results
+cross the pipe.
+
+Error contract: :func:`verify_chunk` is the one place a chunk CRC is
+checked and :func:`decode_chunk_guarded` the one place a foreign
+exception becomes :class:`CorruptDataError`, always with the ``chunk i
+(container bytes a..b)`` prefix.  Failures cross the process boundary as
+``(index, type_name, message)`` triples and are rebuilt from
+:mod:`repro.errors` (:func:`rebuild_error`), so a corrupt chunk raises
+the byte-identical error under every executor.
 """
 
 from __future__ import annotations
@@ -20,7 +29,16 @@ import struct
 from multiprocessing import shared_memory
 
 from repro import errors as _errors
+from repro.core import container as fmt
+from repro.core.codecs import Codec, codec_by_id
 from repro.errors import ChecksumError, CorruptDataError, ReproError
+
+#: Foreign exception types a stage may leak on garbage input; translated
+#: to :class:`CorruptDataError` at the chunk/global-stage boundary.
+#: MemoryError is deliberately absent — allocations are prevented by the
+#: bounds checks, never papered over after the fact.
+FOREIGN_ERRORS = (ValueError, TypeError, IndexError, KeyError, OverflowError,
+                  ZeroDivisionError, struct.error)
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -50,11 +68,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     finally:
         resource_tracker.register = original_register
 
-#: Foreign exception types a stage may leak on garbage input (mirrors
-#: the engine's list; kept here so worker processes need not import it).
-FOREIGN_ERRORS = (ValueError, TypeError, IndexError, KeyError, OverflowError,
-                  ZeroDivisionError, struct.error)
-
 
 def rebuild_error(type_name: str, message: str) -> ReproError:
     """Reconstruct a worker-process error in the parent.
@@ -68,124 +81,161 @@ def rebuild_error(type_name: str, message: str) -> ReproError:
     return cls(message)
 
 
-def decode_chunk_guarded(
-    pipeline, i: int, payload, length: int, offset: int, end: int, crc
-) -> bytes:
-    """Decode one chunk with the engine's serial error semantics.
+def chunk_codec(codec: Codec, info: fmt.ContainerInfo, index: int) -> tuple[Codec, bool]:
+    """The codec and FCM restart framing that encoded chunk ``index``.
 
-    Verifies the optional payload CRC, translates foreign exceptions to
-    :class:`CorruptDataError`, and prefixes every failure with the chunk
-    index and container byte range — the exact strings
-    ``decompress_bytes`` produces on its serial path.
+    Single-codec containers answer with the container codec; mixed (v4)
+    containers look the chunk up in the per-chunk codec table, where a
+    member with a global FCM stage always ran it restart-framed.
     """
-    from repro.core.container import checksum_of
+    if info.chunk_codecs is None:
+        return codec, info.fcm_restart
+    member = codec_by_id(info.chunk_codecs[index])
+    return member, member.global_stage_factory is not None
 
-    if crc is not None and checksum_of(payload) != crc:
-        raise ChecksumError(
-            f"chunk {i} (container bytes {offset}..{end}): "
-            f"payload CRC32 mismatch"
-        )
+
+def _where(job) -> str:
+    return f"chunk {job.index} (container bytes {job.offset}..{job.end})"
+
+
+def verify_chunk(job, payload, crc) -> None:
+    """Raise :class:`ChecksumError` when a payload fails its stored CRC
+    (``crc`` is ``None`` for containers without a chunk CRC table)."""
+    if crc is not None and fmt.checksum_of(payload) != crc:
+        raise ChecksumError(f"{_where(job)}: payload CRC32 mismatch")
+
+
+def decode_chunk_guarded(pipeline, job, payload, length: int, crc,
+                         events=None) -> bytes:
+    """Verify and decode one chunk with the engine's serial error semantics.
+
+    ``job`` is the chunk's :class:`~repro.core.plan.ChunkJob` (global
+    index and container byte window).  Checks the optional payload CRC,
+    translates foreign exceptions to :class:`CorruptDataError`, and
+    prefixes every failure with the chunk index and container byte range.
+    """
+    verify_chunk(job, payload, crc)
     try:
-        return pipeline.decode_chunk(payload, length)
+        return pipeline.decode_chunk(payload, length, events)
     except ReproError as exc:
-        raise type(exc)(
-            f"chunk {i} (container bytes {offset}..{end}): {exc}"
-        ) from exc
+        raise type(exc)(f"{_where(job)}: {exc}") from exc
     except FOREIGN_ERRORS as exc:
         raise CorruptDataError(
-            f"chunk {i} (container bytes {offset}..{end}): "
-            f"undecodable payload ({type(exc).__name__}: {exc})"
+            f"{_where(job)}: undecodable payload ({type(exc).__name__}: {exc})"
         ) from exc
 
 
-def proc_encode_block(task) -> tuple[list, list]:
-    """Compress one contiguous block of chunks inside a worker process.
+def encode_block(pipeline, chunks: list, batch: bool, events=None) -> list[bytes]:
+    """Compress one block of chunks; returns their payloads in order.
 
-    ``task`` is ``(shm_name, codec_name, batch, jobs, fcm_restart)`` with
-    ``jobs`` a list of ``(index, offset, end)`` windows into the shared
-    buffer.  Returns ``(payloads, errors)``; a failed chunk leaves
-    ``None`` in its payload slot.
+    With ``batch`` and at least two chunks the stages' batched kernels
+    run the whole block in one pass; otherwise — or when that pass
+    raises — each chunk runs through :meth:`Pipeline.encode_chunk`.
     """
-    shm_name, codec_name, batch, jobs, fcm_restart = task
+    if batch and len(chunks) >= 2:
+        try:
+            return pipeline.encode_chunk_batch(chunks, events)
+        except Exception:
+            if events is not None:
+                events.clear()
+    return [pipeline.encode_chunk(chunk, events) for chunk in chunks]
+
+
+def decode_block(pipeline, plan, lo: int, hi: int, payloads: list, out, crcs,
+                 batch: bool, failures: list | None = None, events=None) -> bool:
+    """Decode chunks ``lo..hi`` of ``plan`` into ``out`` at their planned offsets.
+
+    ``payloads[k]`` is the payload of chunk ``lo + k``; ``crcs`` is the
+    container's per-chunk CRC table (indexed by global chunk index) or
+    ``None``.  With ``batch`` and at least two chunks the batched kernels
+    try the whole block first; on any exception — a CRC mismatch
+    included — the block is walked chunk by chunk through
+    :func:`decode_chunk_guarded`, so every failure carries its serial
+    error.
+
+    ``failures`` is the error policy.  ``None`` (strict) raises the error
+    of the block's lowest failing chunk; a list (salvage) receives one
+    ``(index, type_name, message)`` triple per failing chunk, whose
+    output window is left untouched.  Returns True when the batched
+    kernels decoded the block.
+    """
+    jobs, offsets, lengths = plan.jobs, plan.out_offsets, plan.out_lengths
+    if batch and hi - lo >= 2:
+        try:
+            if crcs is not None:
+                for job, payload in zip(jobs[lo:hi], payloads):
+                    verify_chunk(job, payload, crcs[job.index])
+            chunks = pipeline.decode_chunk_batch(payloads, lengths[lo:hi], events)
+        except Exception:
+            if events is not None:
+                events.clear()
+        else:
+            for i, chunk in zip(range(lo, hi), chunks):
+                out[offsets[i] : offsets[i] + lengths[i]] = chunk
+            return True
+    for i, payload in zip(range(lo, hi), payloads):
+        job = jobs[i]
+        try:
+            chunk = decode_chunk_guarded(
+                pipeline, job, payload, lengths[i],
+                None if crcs is None else crcs[job.index], events,
+            )
+        except Exception as exc:
+            if failures is None:
+                raise
+            failures.append((job.index, type(exc).__name__, str(exc)))
+            continue
+        out[offsets[i] : offsets[i] + lengths[i]] = chunk
+    return False
+
+
+def proc_encode_block(task) -> tuple[list | None, tuple[str, str] | None]:
+    """Run :func:`encode_block` inside a worker process.
+
+    ``task`` is ``(shm_name, codec_name, fcm_restart, batch, windows)``
+    with ``windows`` the block's ``(offset, end)`` spans of the shared
+    input.  Returns ``(payloads, None)``, or ``(None, (type_name,
+    message))`` for the block's first failing chunk.
+    """
+    shm_name, codec_name, fcm_restart, batch, windows = task
     from repro.core.codecs import get_codec
 
     shm = _attach(shm_name)
     try:
         # Copy the windows out so the buffer releases cleanly on close.
-        chunks = [bytes(shm.buf[offset:end]) for _, offset, end in jobs]
+        chunks = [bytes(shm.buf[offset:end]) for offset, end in windows]
     finally:
         shm.close()
     pipeline = get_codec(codec_name).make_pipeline(fcm_restart)
-    if batch and len(chunks) >= 2:
-        try:
-            return pipeline.encode_chunk_batch(chunks), []
-        except Exception:
-            pass  # fall through to the serial sweep for attribution
-    payloads: list = []
-    errors: list[tuple[int, str, str]] = []
-    for (i, _, _), chunk in zip(jobs, chunks):
-        try:
-            payloads.append(pipeline.encode_chunk(chunk))
-        except Exception as exc:
-            payloads.append(None)
-            errors.append((i, type(exc).__name__, str(exc)))
-    return payloads, errors
+    try:
+        return encode_block(pipeline, chunks, batch), None
+    except Exception as exc:
+        return None, (type(exc).__name__, str(exc))
 
 
 def proc_decode_block(task) -> list:
-    """Decode one contiguous block of chunks inside a worker process.
+    """Run :func:`decode_block` inside a worker process.
 
-    ``task`` is ``(in_name, out_name, codec_name, batch, jobs,
-    fcm_restart)`` with ``jobs`` a list of ``(index, offset, end,
-    out_offset, out_length, crc)``.  The index is the container's global
-    chunk index (subset/range plans pass it through for attribution);
-    decoded chunks land in the output shared memory at their plan-
-    relative prefix-sum offsets.  Returns the error triples (empty on
-    success).
+    ``task`` is ``(in_name, out_name, codec_name, fcm_restart, batch,
+    plan, crcs)`` where ``plan`` is the block's slice of the decode plan
+    (global chunk indices, container read windows, output write
+    offsets).  Decoded chunks land in the output shared memory; returns
+    the ``(index, type_name, message)`` triple of every failing chunk.
     """
-    in_name, out_name, codec_name, batch, jobs, fcm_restart = task
+    in_name, out_name, codec_name, fcm_restart, batch, plan, crcs = task
     from repro.core.codecs import get_codec
 
     in_shm = _attach(in_name)
     try:
-        payloads = [bytes(in_shm.buf[offset:end]) for _, offset, end, _, _, _ in jobs]
+        payloads = [bytes(in_shm.buf[job.offset : job.end]) for job in plan.jobs]
     finally:
         in_shm.close()
     pipeline = get_codec(codec_name).make_pipeline(fcm_restart)
-    lengths = [length for _, _, _, _, length, _ in jobs]
-    chunks: list | None = None
-    if batch and len(jobs) >= 2:
-        try:
-            for (i, offset, end, _, _, crc), payload in zip(jobs, payloads):
-                if crc is not None:
-                    from repro.core.container import checksum_of
-
-                    if checksum_of(payload) != crc:
-                        raise ChecksumError(
-                            f"chunk {i} (container bytes {offset}..{end}): "
-                            f"payload CRC32 mismatch"
-                        )
-            chunks = pipeline.decode_chunk_batch(payloads, lengths)
-        except Exception:
-            chunks = None  # serial sweep below reproduces exact errors
-    errors: list[tuple[int, str, str]] = []
-    if chunks is None:
-        chunks = []
-        for (i, offset, end, _, length, crc), payload in zip(jobs, payloads):
-            try:
-                chunks.append(
-                    decode_chunk_guarded(
-                        pipeline, i, payload, length, offset, end, crc
-                    )
-                )
-            except Exception as exc:
-                chunks.append(None)
-                errors.append((i, type(exc).__name__, str(exc)))
+    failures: list = []
     out_shm = _attach(out_name)
     try:
-        for (_, _, _, out_offset, length, _), chunk in zip(jobs, chunks):
-            if chunk is not None:
-                out_shm.buf[out_offset : out_offset + length] = chunk
+        decode_block(pipeline, plan, 0, plan.n_chunks, payloads, out_shm.buf,
+                     crcs, batch, failures)
     finally:
         out_shm.close()
-    return errors
+    return failures

@@ -1,19 +1,24 @@
-"""The compression engine: a plan/execute core over zero-copy chunk views.
+"""The compression engine: plan → execute → assemble over zero-copy chunk views.
 
 ``compress_bytes`` mirrors the structure of the paper's encoders, split
-into the two layers §3.1 implies:
+into the layers §3.1 implies:
 
 * the **plan** (:mod:`repro.core.plan`) precomputes every chunk's read
   window from prefix sums over the chunk lengths — pure arithmetic, no
   data movement;
 * the **executor** (:mod:`repro.core.executors`) decides *who* runs each
-  chunk job and *when* — serially, through a dynamic worklist of threads
-  (the paper's OpenMP loop), or over a static blocked partition (the
-  CPU analogue of a block-per-chunk GPU launch).  Chunks are independent
-  by construction, so the output bytes are identical under every policy
-  and worker count.
+  block of chunks and *when* — serially, through a dynamic worklist of
+  threads (the paper's OpenMP loop), over a static blocked partition
+  (the CPU analogue of a block-per-chunk GPU launch), or in a pool of
+  worker processes.  Every schedule runs the same block job
+  (:func:`~repro.core._procwork.encode_block` /
+  :func:`~repro.core._procwork.decode_block`), and chunks are
+  independent by construction, so the output bytes are identical under
+  every policy and worker count;
+* **assembly** writes the container (or the decoded output) once, at
+  the plan's prefix-sum offsets.
 
-The hot path is zero-copy: chunk jobs read ``memoryview`` windows into
+The hot path is zero-copy: block jobs read ``memoryview`` windows into
 the intermediate buffer (no per-chunk slice copies), and the container /
 output buffers are preallocated and filled at the plan's prefix-sum
 offsets instead of ``b"".join``-ing pieces.
@@ -23,7 +28,8 @@ yield each chunk's read position, the a-priori chunk lengths yield each
 chunk's *write* position ("No write positions need to be communicated as
 the decompressed chunk sizes are known a priori", paper §3.1), chunks
 decode independently under any executor, and the global stage's inverse
-runs last.
+runs last.  ``decompress_range_bytes`` is the same decode over a subset
+plan.
 
 Corruption hardening
 --------------------
@@ -40,10 +46,10 @@ library-controlled ways:
   :class:`CorruptDataError` at the chunk boundary — callers only ever see
   :class:`~repro.errors.ReproError` subclasses (the invariant
   :mod:`repro.fuzzing` enforces);
-* ``errors="salvage"`` decodes every chunk that still verifies,
-  zero-fills the ones that do not, and returns a
-  :class:`~repro.core.salvage.SalvageReport` mapping the untrusted byte
-  ranges — one flipped bit costs one chunk, not the file.
+* ``errors="salvage"`` is an error policy on the same decode: every
+  chunk that still verifies is decoded, the ones that do not are
+  zero-filled, and a :class:`~repro.core.salvage.SalvageReport` maps the
+  untrusted byte ranges — one flipped bit costs one chunk, not the file.
 
 Passing a :class:`~repro.core.trace.TraceCollector` as ``trace=``
 records per-chunk instrumentation — stage timings, stage output sizes,
@@ -57,11 +63,10 @@ compressed container failed to beat it.
 
 from __future__ import annotations
 
-import struct
 import time
 
 from repro.core import container as fmt
-from repro.core._procwork import decode_chunk_guarded
+from repro.core._procwork import FOREIGN_ERRORS, chunk_codec, decode_block, encode_block
 from repro.core.chunking import CHUNK_RAW, CHUNK_SIZE
 from repro.core.codecs import Codec, codec_by_id
 from repro.core.executors import Executor, resolve_executor, static_block_bounds
@@ -69,13 +74,6 @@ from repro.core.plan import EncodePlan, plan_decode, plan_encode, plan_for_range
 from repro.core.salvage import ChunkFailure, SalvageReport, merge_ranges
 from repro.core.trace import BatchTrace, ChunkTrace, StageEvent, TraceCollector
 from repro.errors import BoundsError, ChecksumError, CorruptDataError, ReproError
-
-#: Foreign exception types a stage may leak on garbage input; translated
-#: to :class:`CorruptDataError` at the chunk/global-stage boundary.
-#: MemoryError is deliberately absent — allocations are prevented by the
-#: bounds checks, never papered over after the fact.
-_FOREIGN = (ValueError, TypeError, IndexError, KeyError, OverflowError,
-            ZeroDivisionError, struct.error)
 
 
 def _run_global_stage(
@@ -98,215 +96,153 @@ def _use_batch(batch: bool | None, n_chunks: int) -> bool:
     return batch and n_chunks >= 2
 
 
-def _block_ranges(n_chunks: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ascending chunk blocks, one batched job per block.
+def _blocks(plan, workers: int, batched: bool, info=None) -> list[tuple[int, int]]:
+    """The plan's block list: one executor job per ``(lo, hi)`` block.
+
+    Batched runs split the plan into at most ``workers`` contiguous
+    blocks, so each job runs the stages' 2D kernels once; per-chunk runs
+    make every chunk its own block, so the worklist claims chunk by
+    chunk.  Mixed (v4) containers are split further where the per-chunk
+    codec changes, so each block runs one pipeline.
 
     Ascending contiguity is a correctness property, not a convenience:
     the lowest failing *block* then contains the globally lowest failing
     *chunk*, preserving the executors' deterministic-error contract.
     """
-    bounds = static_block_bounds(n_chunks, min(workers, n_chunks))
-    return [
+    n = plan.n_chunks
+    if not batched:
+        return [(i, i + 1) for i in range(n)]
+    bounds = static_block_bounds(n, min(workers, n))
+    blocks = [
         (int(bounds[b]), int(bounds[b + 1]))
         for b in range(len(bounds) - 1)
         if bounds[b] < bounds[b + 1]
     ]
-
-
-def _split_blocks_by_codec(blocks, plan, info) -> list[tuple[int, int]]:
-    """Split chunk blocks so each is codec-homogeneous (v4 containers).
-
-    The batched kernels run one pipeline per block, so a block must not
-    straddle a codec change in the per-chunk table.  Ascending contiguity
-    is preserved, keeping the deterministic-error contract.
-    """
-    if info.chunk_codecs is None:
+    codecs = None if info is None else info.chunk_codecs
+    if codecs is None:
         return blocks
-    out = []
+    split = []
     for lo, hi in blocks:
         s = lo
         for i in range(lo + 1, hi):
-            if (info.chunk_codecs[plan.jobs[i].index]
-                    != info.chunk_codecs[plan.jobs[s].index]):
-                out.append((s, i))
+            if codecs[plan.jobs[i].index] != codecs[plan.jobs[s].index]:
+                split.append((s, i))
                 s = i
-        out.append((s, hi))
-    return out
-
-
-def _member_pipeline(member: Codec):
-    """A v4 member codec's chunk pipeline: codecs with a global FCM stage
-    always run it restart-framed inside the chunk (the v4 contract)."""
-    return member.make_pipeline(member.global_stage_factory is not None)
+        split.append((s, hi))
+    return split
 
 
 def _pipeline_resolver(codec: Codec, info: fmt.ContainerInfo):
     """Per-worker ``global chunk index -> pipeline`` for decoding.
 
-    Single-codec containers resolve to one pipeline; mixed (v4)
-    containers resolve through the per-chunk codec table, caching one
-    pipeline per member codec.  Call once per worker — pipelines are
-    thread-local by the executor contract.
+    Caches one pipeline per codec, built on first use — a selector-coded
+    container with zero chunks has no table and never asks for one.
+    Call once per worker: pipelines are thread-local by the executor
+    contract.
     """
-    if info.chunk_codecs is None:
-        # Built lazily: a selector-coded container with zero chunks has no
-        # table and no stages, and never asks for a pipeline.
-        single: list = []
-
-        def resolve_single(i: int):
-            if not single:
-                single.append(codec.make_pipeline(info.fcm_restart))
-            return single[0]
-
-        return resolve_single
     cache: dict[int, object] = {}
 
     def resolve(i: int):
-        cid = info.chunk_codecs[i]
-        pipeline = cache.get(cid)
+        member, restart = chunk_codec(codec, info, i)
+        pipeline = cache.get(member.codec_id)
         if pipeline is None:
-            pipeline = cache[cid] = _member_pipeline(codec_by_id(cid))
+            pipeline = cache[member.codec_id] = member.make_pipeline(restart)
         return pipeline
 
     return resolve
 
 
-def _chunk_codec_name(info: fmt.ContainerInfo, i: int, codec: Codec) -> str:
-    """The codec that encoded chunk ``i`` (salvage attribution)."""
-    if info.chunk_codecs is None:
-        return codec.name
-    return codec_by_id(info.chunk_codecs[i]).name
+def _trace_block(trace: TraceCollector, worker: int, jobs, original_lens,
+                 payloads, seconds: float, events: list, batched: bool) -> None:
+    """Record one block job: a :class:`BatchTrace` when the batched
+    kernels ran it, and one :class:`ChunkTrace` per chunk carrying the
+    block time split evenly (per-stage events only for a lone chunk)."""
+    n = len(jobs)
+    if batched:
+        trace.add_batch(BatchTrace(
+            worker=worker, start=jobs[0].index, n_chunks=n, seconds=seconds,
+            stages=tuple(events),
+        ))
+    stages = tuple(events) if n == 1 else ()
+    for job, original_len, payload in zip(jobs, original_lens, payloads):
+        trace.add(ChunkTrace(
+            index=job.index,
+            worker=worker,
+            original_len=original_len,
+            payload_len=len(payload),
+            raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
+            seconds=seconds / n,
+            stages=stages,
+            batched=batched,
+        ))
 
 
-def _plan_chunk_codecs(info: fmt.ContainerInfo, plan, codec: Codec):
-    """Per-plan-position ``(codec_name, fcm_restart)`` pairs for the
-    process executor, or ``None`` for single-codec containers."""
-    if info.chunk_codecs is None:
-        return None
-    pairs = []
-    for job in plan.jobs:
-        member = codec_by_id(info.chunk_codecs[job.index])
-        pairs.append((member.name, member.global_stage_factory is not None))
-    return pairs
+def _execute(engine: Executor, blocks, make_worker, pool_method: str, *pool_args):
+    """Run one job per block.
+
+    Thread executors run the jobs ``make_worker`` builds.  The process
+    pool cannot ship those closures, so it runs the same block jobs in
+    its workers through ``pool_method`` — the engine's only
+    process-executor branch.
+    """
+    if getattr(engine, "kind", None) == "process":
+        return getattr(engine, pool_method)(blocks, *pool_args)
+    return engine.run(len(blocks), make_worker)
 
 
-def _make_encode_worker(codec: Codec, plan, view, trace: TraceCollector | None,
-                        fcm_restart: bool = False):
-    """Per-chunk encode jobs (the non-batched reference path)."""
+def _release(engine: Executor, executor) -> None:
+    """Close an executor this call built from a policy string (a process
+    pool owns worker processes); a caller-built executor stays open."""
+    close = getattr(engine, "close", None)
+    if engine is not executor and close is not None:
+        close()
+
+
+def _encode(engine: Executor, codec: Codec, restart: bool, plan, data,
+            batch: bool | None, trace: TraceCollector | None) -> list[bytes]:
+    """Compress every chunk of ``plan`` over ``data``; payloads in plan order."""
+    batched = _use_batch(batch, plan.n_chunks)
+    blocks = _blocks(plan, engine.workers, batched)
+    view = memoryview(data)
+    jobs = plan.jobs
 
     def make_worker(worker_id: int):
-        pipeline = codec.make_pipeline(fcm_restart)
+        pipeline = codec.make_pipeline(restart)
 
-        def encode_job(i: int) -> bytes:
-            job = plan.jobs[i]
-            chunk = view[job.offset : job.end]
+        def encode_job(b: int) -> list[bytes]:
+            lo, hi = blocks[b]
+            chunks = [view[job.offset : job.end] for job in jobs[lo:hi]]
             if trace is None:
-                return pipeline.encode_chunk(chunk)
+                return encode_block(pipeline, chunks, batched)
             events: list[StageEvent] = []
             start = time.perf_counter()
-            payload = pipeline.encode_chunk(chunk, events)
-            trace.add(ChunkTrace(
-                index=job.index,
-                worker=worker_id,
-                original_len=job.length,
-                payload_len=len(payload),
-                raw_fallback=payload[0] == CHUNK_RAW,
-                seconds=time.perf_counter() - start,
-                stages=tuple(events),
-            ))
-            return payload
+            payloads = encode_block(pipeline, chunks, batched, events)
+            _trace_block(trace, worker_id, jobs[lo:hi],
+                         [job.length for job in jobs[lo:hi]], payloads,
+                         time.perf_counter() - start, events,
+                         batched and hi - lo >= 2)
+            return payloads
 
         return encode_job
 
-    return make_worker
+    per_block = _execute(engine, blocks, make_worker, "encode_blocks",
+                         data, plan, codec.name, restart, batched)
+    return [payload for block in per_block for payload in block]
 
 
-def _encode_batched_blocks(
-    codec: Codec, plan, view, engine: Executor, trace: TraceCollector | None,
-    fcm_restart: bool = False,
-) -> list:
-    """Encode contiguous chunk blocks through the stages' 2D kernels.
-
-    Each block is one executor job: its chunks run as a single
-    ``encode_chunk_batch`` pass (one kernel invocation per stage).  Any
-    exception inside the batched pass drops the block back to the
-    per-chunk loop, so failures keep serial semantics.
-    """
-    blocks = _block_ranges(plan.n_chunks, engine.workers)
-
-    def make_worker(worker_id: int):
-        pipeline = codec.make_pipeline(fcm_restart)
-
-        def encode_block(b: int) -> list:
-            lo, hi = blocks[b]
-            chunks = [
-                view[plan.jobs[i].offset : plan.jobs[i].end]
-                for i in range(lo, hi)
-            ]
-            events: list[StageEvent] = []
-            start = time.perf_counter()
-            try:
-                payloads = pipeline.encode_chunk_batch(
-                    chunks, None if trace is None else events
-                )
-            except Exception:
-                worker = _make_encode_worker(
-                    codec, plan, view, trace, fcm_restart
-                )(worker_id)
-                return [worker(i) for i in range(lo, hi)]
-            if trace is not None:
-                seconds = time.perf_counter() - start
-                trace.add_batch(BatchTrace(
-                    worker=worker_id,
-                    start=plan.jobs[lo].index,
-                    n_chunks=hi - lo,
-                    seconds=seconds,
-                    stages=tuple(events),
-                ))
-                per_chunk = seconds / (hi - lo)
-                for i, payload in zip(range(lo, hi), payloads):
-                    trace.add(ChunkTrace(
-                        index=plan.jobs[i].index,
-                        worker=worker_id,
-                        original_len=plan.jobs[i].length,
-                        payload_len=len(payload),
-                        raw_fallback=payload[0] == CHUNK_RAW,
-                        seconds=per_chunk,
-                        stages=(),
-                        batched=True,
-                    ))
-            return payloads
-
-        return encode_block
-
-    payloads: list = []
-    for block in engine.run(len(blocks), make_worker):
-        payloads.extend(block)
-    return payloads
-
-
-def _compress_selector(
-    data: bytes,
-    codec: Codec,
-    *,
-    chunk_size: int,
-    dtype_code: int,
-    shape: tuple[int, ...] | None,
-    crc: int | None,
-    chunk_checksums: bool,
-    engine: Executor,
-    trace: TraceCollector | None,
-    batch: bool | None,
-    selector,
-) -> bytes:
-    """Encode under the adaptive selector: probe, choose, group, route.
+def _encode_selector(
+    data, dtype_code: int, chunk_size: int, engine: Executor,
+    batch: bool | None, trace: TraceCollector | None, selector,
+) -> tuple[list[bytes], list[int]]:
+    """Probe, choose, group, route: the adaptive selector's payloads and
+    per-chunk codec table.
 
     Selection runs once, up front, on the calling thread — the chosen
     codec table is therefore identical under every executor policy and
     batch setting, and the payload bytes inherit the fixed codecs' own
     executor independence.  Same-decision chunks are grouped into subset
-    plans so the columnar ``encode_chunk_batch`` kernels still engage,
-    then the payloads scatter back to container order.
+    plans so the columnar batch kernels still engage, then the payloads
+    scatter back to container order.
     """
     from repro.core.codecs import selection_candidates
     from repro.selection import get_policy, probe_chunks
@@ -315,11 +251,9 @@ def _compress_selector(
     candidates = selection_candidates(dtype_code)
     plan = plan_encode(len(data), chunk_size)
     view = memoryview(data)
-    chunks = [view[job.offset : job.end] for job in plan.jobs]
-    probes = probe_chunks(chunks, candidates, with_stats=False)
+    probes = probe_chunks([view[job.offset : job.end] for job in plan.jobs],
+                          candidates, with_stats=False)
     choices = [policy.choose(p, candidates) for p in probes]
-    if trace is not None:
-        trace.annotate(selector=policy.name)
     groups: dict[int, list[int]] = {}
     for i, member in enumerate(choices):
         groups.setdefault(member.codec_id, []).append(i)
@@ -335,41 +269,10 @@ def _compress_selector(
         # v4 contract: a member's global FCM stage runs restart-framed
         # inside the chunk pipeline, so every chunk stays independent.
         restart = member.global_stage_factory is not None
-        batched = _use_batch(batch, subplan.n_chunks)
-        if getattr(engine, "kind", None) == "process":
-            group_payloads = engine.encode_chunks(
-                data, subplan, member.name, batched, fcm_restart=restart
-            )
-        elif batched:
-            group_payloads = _encode_batched_blocks(
-                member, subplan, view, engine, trace, restart
-            )
-        else:
-            group_payloads = engine.run(
-                subplan.n_chunks,
-                _make_encode_worker(member, subplan, view, trace, restart),
-            )
-        for i, payload in zip(indices, group_payloads):
+        group = _encode(engine, member, restart, subplan, data, batch, trace)
+        for i, payload in zip(indices, group):
             payloads[i] = payload
-    blob = fmt.build_container(
-        codec_id=codec.codec_id,
-        dtype_code=dtype_code,
-        original_len=len(data),
-        intermediate_len=len(data),
-        chunk_size=chunk_size,
-        chunk_payloads=payloads,
-        shape=shape,
-        checksum=crc,
-        chunk_crcs=chunk_checksums,
-        chunk_codecs=[member.codec_id for member in choices],
-    )
-    raw_size = fmt.raw_container_size(len(data), shape=shape, checksum=crc)
-    if raw_size < len(blob):
-        return fmt.build_raw_container(
-            codec_id=codec.codec_id, dtype_code=dtype_code, data=data,
-            shape=shape, checksum=crc,
-        )
-    return blob
+    return payloads, [member.codec_id for member in choices]
 
 
 def compress_bytes(
@@ -437,47 +340,22 @@ def compress_bytes(
     if trace is not None:
         trace.annotate(policy=engine.policy, workers=engine.workers,
                        direction="compress")
-    if codec.selector:
-        try:
-            return _compress_selector(
-                data, codec, chunk_size=chunk_size, dtype_code=dtype_code,
-                shape=shape, crc=crc, chunk_checksums=chunk_checksums,
-                engine=engine, trace=trace, batch=batch, selector=selector,
-            )
-        finally:
-            if (getattr(engine, "kind", None) == "process"
-                    and engine is not executor):
-                engine.close()
     restart = fcm == "restart" and codec.global_stage_factory is not None
-    global_stage = None if restart else codec.make_global_stage()
-    if global_stage is not None:
-        intermediate = _run_global_stage(global_stage, "encode", data, trace)
-    else:
-        intermediate = data
-    plan = plan_encode(len(intermediate), chunk_size)
-    view = memoryview(intermediate)
-    batched = _use_batch(batch, plan.n_chunks)
-    if getattr(engine, "kind", None) == "process":
-        # GIL-free path: ship the intermediate buffer through shared
-        # memory; per-chunk trace records are not collected across the
-        # process boundary (the annotate() metadata still is).
-        try:
-            payloads = engine.encode_chunks(
-                intermediate, plan, codec.name, batched, fcm_restart=restart
+    intermediate, chunk_codecs = data, None
+    try:
+        if codec.selector:
+            payloads, chunk_codecs = _encode_selector(
+                data, dtype_code, chunk_size, engine, batch, trace, selector
             )
-        finally:
-            if engine is not executor:
-                # A policy string built this engine, so this call owns
-                # its worker processes; don't leak them.
-                engine.close()
-    elif batched:
-        payloads = _encode_batched_blocks(codec, plan, view, engine, trace,
-                                          restart)
-    else:
-        payloads = engine.run(
-            plan.n_chunks,
-            _make_encode_worker(codec, plan, view, trace, restart),
-        )
+        else:
+            global_stage = None if restart else codec.make_global_stage()
+            if global_stage is not None:
+                intermediate = _run_global_stage(global_stage, "encode", data, trace)
+            payloads = _encode(engine, codec, restart,
+                               plan_encode(len(intermediate), chunk_size),
+                               intermediate, batch, trace)
+    finally:
+        _release(engine, executor)
     blob = fmt.build_container(
         codec_id=codec.codec_id,
         dtype_code=dtype_code,
@@ -489,6 +367,7 @@ def compress_bytes(
         checksum=crc,
         chunk_crcs=chunk_checksums,
         fcm_restart=restart,
+        chunk_codecs=chunk_codecs,
     )
     # Whole-input fallback: never hand back a container larger than raw.
     # Built lazily — compression usually wins, and the fallback copies
@@ -543,144 +422,215 @@ def _check_geometry(info: fmt.ContainerInfo, codec: Codec) -> None:
             )
 
 
-def _make_decode_worker(
-    codec: Codec, plan, info, view, out, trace: TraceCollector | None
-):
-    """Per-chunk decode jobs (the non-batched reference path)."""
+def _decode(engine: Executor, codec: Codec, info: fmt.ContainerInfo, plan,
+            blob, batch: bool | None, failures: list | None,
+            trace: TraceCollector | None) -> bytearray:
+    """Decode every chunk of ``plan`` out of ``blob`` into a fresh buffer.
+
+    Write positions are known a priori (§3.1): each chunk lands at its
+    plan offset, so any schedule fills the same bytes.  ``failures`` is
+    :func:`~repro.core._procwork.decode_block`'s error policy.
+    """
+    batched = _use_batch(batch, plan.n_chunks)
+    blocks = _blocks(plan, engine.workers, batched, info)
+    out = bytearray(plan.out_len)
+    view = memoryview(blob)
+    jobs, crcs = plan.jobs, info.chunk_crcs
 
     def make_worker(worker_id: int):
         resolve = _pipeline_resolver(codec, info)
 
-        def decode_job(i: int) -> None:
-            job = plan.jobs[i]
-            pipeline = resolve(job.index)
-            payload = view[job.offset : job.end]
-            length = plan.out_lengths[i]
-            # Subset plans keep the global chunk index on the job — error
-            # attribution and CRC lookups must name the container's chunk.
-            _verify_chunk_crc(info, job.index, payload, job)
-            try:
-                if trace is None:
-                    chunk = pipeline.decode_chunk(payload, length)
-                else:
-                    events: list[StageEvent] = []
-                    start = time.perf_counter()
-                    chunk = pipeline.decode_chunk(payload, length, events)
-                    trace.add(ChunkTrace(
-                        index=job.index,
-                        worker=worker_id,
-                        original_len=length,
-                        payload_len=job.length,
-                        raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
-                        seconds=time.perf_counter() - start,
-                        stages=tuple(events),
-                    ))
-            except ReproError as exc:
-                raise type(exc)(
-                    f"chunk {job.index} (container bytes {job.offset}..{job.end}): {exc}"
-                ) from exc
-            except _FOREIGN as exc:
-                raise CorruptDataError(
-                    f"chunk {job.index} (container bytes {job.offset}..{job.end}): "
-                    f"undecodable payload ({type(exc).__name__}: {exc})"
-                ) from exc
-            offset = plan.out_offsets[i]
-            out[offset : offset + length] = chunk
+        def decode_job(b: int) -> None:
+            lo, hi = blocks[b]
+            payloads = [view[job.offset : job.end] for job in jobs[lo:hi]]
+            # Blocks are codec-homogeneous: one pipeline serves the block.
+            pipeline = resolve(jobs[lo].index)
+            if trace is None:
+                decode_block(pipeline, plan, lo, hi, payloads, out, crcs,
+                             batched, failures)
+                return
+            events: list[StageEvent] = []
+            start = time.perf_counter()
+            ran_batched = decode_block(pipeline, plan, lo, hi, payloads, out,
+                                       crcs, batched, failures, events)
+            _trace_block(trace, worker_id, jobs[lo:hi], plan.out_lengths[lo:hi],
+                         payloads, time.perf_counter() - start, events,
+                         ran_batched)
 
         return decode_job
 
-    return make_worker
+    _execute(engine, blocks, make_worker, "decode_blocks",
+             blob, plan, codec, info, batched, out, failures)
+    return out
 
 
-def _decode_batched_blocks(
-    codec: Codec,
-    plan,
-    info,
-    view,
-    out,
-    engine: Executor,
-    trace: TraceCollector | None,
-) -> None:
-    """Decode contiguous chunk blocks through the stages' 2D kernels.
+def _clip_ranges(ranges, start: int, stop: int) -> tuple[tuple[int, int], ...]:
+    """Intersect byte ranges with ``[start, stop)`` and shift to 0-based."""
+    out = []
+    for a, b in ranges:
+        a2, b2 = max(a, start), min(b, stop)
+        if a2 < b2:
+            out.append((a2 - start, b2 - start))
+    return tuple(out)
 
-    Any exception inside a batched pass (corruption, structural mismatch)
-    re-runs that block chunk-by-chunk with the engine's serial error
-    semantics, so a damaged container raises the byte-identical error —
-    same type, message, and chunk attribution — batching would otherwise
-    obscure.
+
+def _failure_records(failures, plan, base: int, codec: Codec,
+                     info: fmt.ContainerInfo) -> tuple[ChunkFailure, ...]:
+    """``(index, type_name, message)`` triples as :class:`ChunkFailure`
+    records in chunk order, with payload and output coordinates."""
+    position = {job.index: i for i, job in enumerate(plan.jobs)}
+    records = []
+    for index, error_type, reason in sorted(failures):
+        i = position[index]
+        job = plan.jobs[i]
+        records.append(ChunkFailure(
+            index=index,
+            payload_offset=job.offset,
+            payload_length=job.length,
+            output_offset=base + plan.out_offsets[i],
+            output_length=plan.out_lengths[i],
+            reason=reason,
+            error_type=error_type,
+            codec=chunk_codec(codec, info, index)[0].name,
+        ))
+    return tuple(records)
+
+
+def _finish(info: fmt.ContainerInfo, codec: Codec, buf, plan, base: int | None,
+            span: tuple[int, int] | None, failures: list | None,
+            trace: TraceCollector | None):
+    """Assemble a decode result from the decoded chunk buffer.
+
+    ``base`` is ``None`` when ``buf`` holds the whole intermediate buffer
+    (a full plan, or a raw-fallback payload): the global stage's inverse
+    runs, and the decoded length and whole-input CRC are checked.
+    Otherwise ``buf`` begins at intermediate offset ``base`` and holds
+    only the chunks of a subset plan, which are trimmed to ``span``.
+    Strict mode (``failures is None``) raises; salvage mode zero-fills,
+    notes what it could not verify, and returns a
+    :class:`~repro.core.salvage.SalvageReport` whose damaged ranges are
+    relative to the returned bytes.
     """
-    blocks = _split_blocks_by_codec(
-        _block_ranges(plan.n_chunks, engine.workers), plan, info
+    start, stop = (0, info.original_len) if span is None else span
+    salvage = failures is not None
+    records, damaged = (), ()
+    if failures:
+        records = _failure_records(failures, plan, base or 0, codec, info)
+        damaged = merge_ranges(
+            (f.output_offset, f.output_offset + f.output_length) for f in records
+        )
+    notes: list[str] = []
+    checksum_ok = None
+    global_failed = False
+    if base is not None:
+        data = bytes(memoryview(buf)[start - base : stop - base])
+        if records:
+            notes.append("range read: damaged ranges are relative to the "
+                         "returned slice; failure offsets are absolute")
+    else:
+        data = bytes(buf)
+        stage = (None if info.raw_fallback or info.fcm_restart
+                 else codec.make_global_stage())
+        if stage is not None and salvage:
+            try:
+                data, damaged = stage.decode_salvage(data, damaged)
+            except Exception as exc:
+                global_failed = True
+                notes.append(
+                    f"global stage {stage.name!r} inverse failed "
+                    f"({type(exc).__name__}: {exc}); output zero-filled"
+                )
+                data = bytes(info.original_len)
+                damaged = ((0, info.original_len),) if info.original_len else ()
+        elif stage is not None:
+            try:
+                data = _run_global_stage(stage, "decode", data, trace)
+            except ReproError as exc:
+                raise type(exc)(f"global stage {stage.name!r}: {exc}") from exc
+            except FOREIGN_ERRORS as exc:
+                raise CorruptDataError(
+                    f"global stage {stage.name!r}: undecodable intermediate "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
+        if len(data) != info.original_len:
+            if not salvage:
+                raise CorruptDataError(
+                    f"decompressed to {len(data)} bytes, expected {info.original_len}"
+                )
+            notes.append(
+                f"decoded length {len(data)} != declared {info.original_len}; "
+                f"output adjusted and fully marked damaged"
+            )
+            data = data[: info.original_len] + bytes(
+                max(0, info.original_len - len(data))
+            )
+            damaged = ((0, info.original_len),) if info.original_len else ()
+        if info.checksum is not None:
+            checksum_ok = fmt.checksum_of(data) == info.checksum
+            what = "raw-fallback payload" if info.raw_fallback else "container payload"
+            if not checksum_ok and not salvage:
+                raise ChecksumError(f"whole-input CRC32 mismatch: {what} is corrupt")
+            if not checksum_ok and not records and not global_failed and not damaged:
+                notes.append(
+                    "raw-fallback payload failed the whole-input checksum; "
+                    "damage cannot be localised without chunks"
+                    if info.raw_fallback else
+                    "whole-input checksum mismatch with every chunk verifying; "
+                    "damage sits outside the chunk CRCs' reach"
+                )
+                damaged = ((0, len(data)),) if data else ()
+        if span is not None:
+            # Cross-chunk FCM: every output byte may depend on any chunk,
+            # so the range was decoded in full and is sliced here.
+            data = data[start:stop]
+            notes.append("range read fell back to a full decode: the container "
+                         "carries cross-chunk FCM state (no restart markers)")
+    if not salvage:
+        return data, info
+    return data, info, SalvageReport(
+        n_chunks=0 if plan is None else plan.n_chunks,
+        output_len=len(data),
+        failures=records,
+        damaged_ranges=_clip_ranges(merge_ranges(damaged), start, stop),
+        checksum_ok=checksum_ok,
+        global_stage_failed=global_failed,
+        notes=tuple(notes),
     )
 
-    def make_worker(worker_id: int):
-        resolve = _pipeline_resolver(codec, info)
 
-        def decode_block(b: int) -> None:
-            lo, hi = blocks[b]
-            # Blocks are codec-homogeneous by construction, so one
-            # pipeline serves the whole block.
-            pipeline = resolve(plan.jobs[lo].index)
-            payloads = [
-                view[plan.jobs[i].offset : plan.jobs[i].end]
-                for i in range(lo, hi)
-            ]
-            lengths = [plan.out_lengths[i] for i in range(lo, hi)]
-            events: list[StageEvent] = []
-            start = time.perf_counter()
-            try:
-                for i in range(lo, hi):
-                    _verify_chunk_crc(info, plan.jobs[i].index, payloads[i - lo],
-                                      plan.jobs[i])
-                chunks = pipeline.decode_chunk_batch(
-                    payloads, lengths, None if trace is None else events
-                )
-            except Exception:
-                # Serial re-run: first failure raises the exact error the
-                # serial schedule reports (lowest chunk of the block).
-                for i in range(lo, hi):
-                    job = plan.jobs[i]
-                    chunk = decode_chunk_guarded(
-                        pipeline,
-                        job.index,
-                        payloads[i - lo],
-                        plan.out_lengths[i],
-                        job.offset,
-                        job.end,
-                        None if info.chunk_crcs is None
-                        else info.chunk_crcs[job.index],
-                    )
-                    offset = plan.out_offsets[i]
-                    out[offset : offset + plan.out_lengths[i]] = chunk
-                return
-            if trace is not None:
-                seconds = time.perf_counter() - start
-                trace.add_batch(BatchTrace(
-                    worker=worker_id,
-                    start=plan.jobs[lo].index,
-                    n_chunks=hi - lo,
-                    seconds=seconds,
-                    stages=tuple(events),
-                ))
-                per_chunk = seconds / (hi - lo)
-                for i, payload in zip(range(lo, hi), payloads):
-                    trace.add(ChunkTrace(
-                        index=plan.jobs[i].index,
-                        worker=worker_id,
-                        original_len=plan.out_lengths[i],
-                        payload_len=plan.jobs[i].length,
-                        raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
-                        seconds=per_chunk,
-                        stages=(),
-                        batched=True,
-                    ))
-            for i, chunk in zip(range(lo, hi), chunks):
-                offset = plan.out_offsets[i]
-                out[offset : offset + plan.out_lengths[i]] = chunk
-
-        return decode_block
-
-    engine.run(len(blocks), make_worker)
+def _decompress(blob, span, *, workers, executor, trace, errors, batch):
+    """Plan, execute and assemble one full (``span=None``) or range decode."""
+    if errors not in ("raise", "salvage"):
+        raise ValueError(f"errors must be 'raise' or 'salvage', not {errors!r}")
+    info = fmt.inspect_container(blob)
+    codec = codec_by_id(info.codec_id)
+    _check_geometry(info, codec)
+    if span is not None and not 0 <= span[0] <= span[1] <= info.original_len:
+        raise BoundsError(
+            f"range [{span[0]}, {span[1]}) out of bounds for "
+            f"{info.original_len} original bytes"
+        )
+    failures = [] if errors == "salvage" else None
+    if info.raw_fallback:
+        # The payload is the original bytes: a range slices it directly.
+        payload = memoryview(blob)[info.payload_offset :]
+        return _finish(info, codec, payload, None, None if span is None else 0,
+                       span, failures, trace)
+    if span is not None and (info.fcm_restart or codec.global_stage_factory is None):
+        rplan = plan_for_range(info, *span)
+        plan, base, direction = rplan.plan, rplan.aligned_start, "decompress-range"
+    else:
+        plan, base = plan_decode(info), None
+        direction = "decompress" if failures is None else "salvage"
+    engine = resolve_executor(executor, workers)
+    if trace is not None:
+        trace.annotate(policy=engine.policy, workers=engine.workers,
+                       direction=direction)
+    try:
+        buf = _decode(engine, codec, info, plan, blob, batch, failures, trace)
+    finally:
+        _release(engine, executor)
+    return _finish(info, codec, buf, plan, base, span, failures, trace)
 
 
 def decompress_bytes(
@@ -706,84 +656,8 @@ def decompress_bytes(
       header itself (magic, version, geometry) still raises — without a
       parseable chunk table there is nothing to salvage.
     """
-    if errors not in ("raise", "salvage"):
-        raise ValueError(f"errors must be 'raise' or 'salvage', not {errors!r}")
-    info = fmt.inspect_container(blob)
-    codec = codec_by_id(info.codec_id)
-    _check_geometry(info, codec)
-    if errors == "salvage":
-        return _decompress_salvage(blob, info, codec, workers=workers,
-                                   executor=executor, trace=trace)
-    if info.raw_fallback:
-        data = bytes(memoryview(blob)[info.payload_offset :])
-        if info.checksum is not None and fmt.checksum_of(data) != info.checksum:
-            raise ChecksumError(
-                "whole-input CRC32 mismatch: raw-fallback payload is corrupt"
-            )
-        return data, info
-    engine = resolve_executor(executor, workers)
-    if trace is not None:
-        trace.annotate(policy=engine.policy, workers=engine.workers,
-                       direction="decompress")
-    plan = plan_decode(info)
-    view = memoryview(blob)
-    # Write positions are known a priori (§3.1): decode straight into a
-    # preallocated buffer at the plan's prefix-sum offsets.
-    batched = _use_batch(batch, plan.n_chunks)
-    if getattr(engine, "kind", None) == "process":
-        try:
-            intermediate = engine.decode_chunks(
-                blob, plan, codec.name, info.chunk_crcs, batched,
-                fcm_restart=info.fcm_restart,
-                chunk_codecs=_plan_chunk_codecs(info, plan, codec),
-            )
-        finally:
-            if engine is not executor:
-                # A policy string built this engine, so this call owns
-                # its worker processes; don't leak them.
-                engine.close()
-    else:
-        out = bytearray(plan.out_len)
-        if batched:
-            _decode_batched_blocks(codec, plan, info, view, out, engine, trace)
-        else:
-            engine.run(
-                plan.n_chunks,
-                _make_decode_worker(codec, plan, info, view, out, trace),
-            )
-        intermediate = bytes(out)
-    global_stage = None if info.fcm_restart else codec.make_global_stage()
-    if global_stage is not None:
-        try:
-            data = _run_global_stage(global_stage, "decode", intermediate, trace)
-        except ReproError as exc:
-            raise type(exc)(f"global stage {global_stage.name!r}: {exc}") from exc
-        except _FOREIGN as exc:
-            raise CorruptDataError(
-                f"global stage {global_stage.name!r}: undecodable intermediate "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-    else:
-        data = intermediate
-    if len(data) != info.original_len:
-        raise CorruptDataError(
-            f"decompressed to {len(data)} bytes, expected {info.original_len}"
-        )
-    if info.checksum is not None and fmt.checksum_of(data) != info.checksum:
-        raise ChecksumError(
-            "whole-input CRC32 mismatch: container payload is corrupt"
-        )
-    return data, info
-
-
-def _clip_ranges(ranges, start: int, stop: int) -> tuple[tuple[int, int], ...]:
-    """Intersect byte ranges with ``[start, stop)`` and shift to 0-based."""
-    out = []
-    for a, b in ranges:
-        a2, b2 = max(a, start), min(b, stop)
-        if a2 < b2:
-            out.append((a2 - start, b2 - start))
-    return tuple(out)
+    return _decompress(blob, None, workers=workers, executor=executor,
+                       trace=trace, errors=errors, batch=batch)
 
 
 def decompress_range_bytes(
@@ -801,7 +675,7 @@ def decompress_range_bytes(
 
     Plans the subset of chunks overlapping the range
     (:func:`~repro.core.plan.plan_for_range`) and runs them through the
-    same executors as a full decode — chunks outside the range are never
+    same block jobs as a full decode — chunks outside the range are never
     read, CRC-verified, or decoded.  Returns ``(data, info)`` where
     ``data`` is byte-identical to ``decompress_bytes(blob)[0][start:stop]``.
 
@@ -818,260 +692,5 @@ def decompress_range_bytes(
     are relative to the returned slice and ``checksum_ok`` is ``None``
     (a slice cannot be checksum-verified).
     """
-    if errors not in ("raise", "salvage"):
-        raise ValueError(f"errors must be 'raise' or 'salvage', not {errors!r}")
-    info = fmt.inspect_container(blob)
-    codec = codec_by_id(info.codec_id)
-    _check_geometry(info, codec)
-    if not 0 <= start <= stop <= info.original_len:
-        raise BoundsError(
-            f"range [{start}, {stop}) out of bounds for "
-            f"{info.original_len} original bytes"
-        )
-    if info.raw_fallback:
-        base = info.payload_offset
-        data = bytes(memoryview(blob)[base + start : base + stop])
-        if errors == "salvage":
-            report = SalvageReport(
-                n_chunks=0, output_len=len(data), checksum_ok=None,
-            )
-            return data, info, report
-        return data, info
-    if not info.fcm_restart and codec.global_stage_factory is not None:
-        # Cross-chunk FCM (legacy v1/v2 DPratio): every output byte may
-        # depend on any chunk, so there is nothing partial to plan.
-        if errors == "salvage":
-            data, _, full = _decompress_salvage(
-                blob, info, codec, workers=workers, executor=executor,
-                trace=trace,
-            )
-            report = SalvageReport(
-                n_chunks=full.n_chunks,
-                output_len=stop - start,
-                failures=full.failures,
-                damaged_ranges=_clip_ranges(full.damaged_ranges, start, stop),
-                checksum_ok=full.checksum_ok,
-                global_stage_failed=full.global_stage_failed,
-                notes=full.notes + (
-                    "range read fell back to a full decode: the container "
-                    "carries cross-chunk FCM state (no restart markers)",
-                ),
-            )
-            return data[start:stop], info, report
-        data, _ = decompress_bytes(blob, workers=workers, executor=executor,
-                                   trace=trace, batch=batch)
-        return data[start:stop], info
-    rplan = plan_for_range(info, start, stop)
-    plan = rplan.plan
-    engine = resolve_executor(executor, workers)
-    if trace is not None:
-        trace.annotate(policy=engine.policy, workers=engine.workers,
-                       direction="decompress-range")
-    view = memoryview(blob)
-    batched = _use_batch(batch, plan.n_chunks)
-    lo, hi = rplan.trim
-    if errors == "salvage":
-        out = bytearray(plan.out_len)
-        failures: list[ChunkFailure] = []  # list.append is GIL-atomic
-
-        def make_worker(worker_id: int):
-            resolve = _pipeline_resolver(codec, info)
-
-            def decode_job(i: int) -> None:
-                job = plan.jobs[i]
-                payload = view[job.offset : job.end]
-                length = plan.out_lengths[i]
-                offset = plan.out_offsets[i]
-                try:
-                    _verify_chunk_crc(info, job.index, payload, job)
-                    chunk = resolve(job.index).decode_chunk(payload, length)
-                except Exception as exc:
-                    failures.append(ChunkFailure(
-                        index=job.index,
-                        payload_offset=job.offset,
-                        payload_length=job.length,
-                        output_offset=rplan.aligned_start + offset,
-                        output_length=length,
-                        reason=str(exc) or type(exc).__name__,
-                        error_type=type(exc).__name__,
-                        codec=_chunk_codec_name(info, job.index, codec),
-                    ))
-                    return
-                out[offset : offset + length] = chunk
-
-            return decode_job
-
-        engine.run(plan.n_chunks, make_worker)
-        failures.sort(key=lambda f: f.index)
-        data = bytes(out[lo:hi])
-        damaged = _clip_ranges(
-            merge_ranges(
-                (f.output_offset, f.output_offset + f.output_length)
-                for f in failures
-            ),
-            start, stop,
-        )
-        notes = ()
-        if failures:
-            notes = ("range read: damaged ranges are relative to the "
-                     "returned slice; failure offsets are absolute",)
-        report = SalvageReport(
-            n_chunks=plan.n_chunks,
-            output_len=len(data),
-            failures=tuple(failures),
-            damaged_ranges=damaged,
-            checksum_ok=None,
-            notes=notes,
-        )
-        return data, info, report
-    if getattr(engine, "kind", None) == "process":
-        try:
-            decoded = engine.decode_chunks(
-                blob, plan, codec.name, info.chunk_crcs, batched,
-                fcm_restart=info.fcm_restart,
-                chunk_codecs=_plan_chunk_codecs(info, plan, codec),
-            )
-        finally:
-            if engine is not executor:
-                engine.close()
-        return bytes(decoded[lo:hi]), info
-    out = bytearray(plan.out_len)
-    if plan.n_chunks:
-        if batched:
-            _decode_batched_blocks(codec, plan, info, view, out, engine, trace)
-        else:
-            engine.run(
-                plan.n_chunks,
-                _make_decode_worker(codec, plan, info, view, out, trace),
-            )
-    return bytes(out[lo:hi]), info
-
-
-def _verify_chunk_crc(info: fmt.ContainerInfo, i: int, payload, job) -> None:
-    """Raise :class:`ChecksumError` when chunk ``i`` fails its stored CRC."""
-    if info.chunk_crcs is not None and fmt.checksum_of(payload) != info.chunk_crcs[i]:
-        raise ChecksumError(
-            f"chunk {i} (container bytes {job.offset}..{job.end}): "
-            f"payload CRC32 mismatch"
-        )
-
-
-def _decompress_salvage(
-    blob: bytes,
-    info: fmt.ContainerInfo,
-    codec: Codec,
-    *,
-    workers: int = 1,
-    executor: str | Executor | None = None,
-    trace: TraceCollector | None = None,
-) -> tuple[bytes, fmt.ContainerInfo, SalvageReport]:
-    """Best-effort decode: recover every verifiable chunk, map the rest."""
-    notes: list[str] = []
-    if info.raw_fallback:
-        data = bytes(memoryview(blob)[info.payload_offset :])
-        checksum_ok = None
-        damaged: tuple[tuple[int, int], ...] = ()
-        if info.checksum is not None:
-            checksum_ok = fmt.checksum_of(data) == info.checksum
-            if not checksum_ok:
-                damaged = ((0, len(data)),) if data else ()
-                notes.append(
-                    "raw-fallback payload failed the whole-input checksum; "
-                    "damage cannot be localised without chunks"
-                )
-        report = SalvageReport(
-            n_chunks=0, output_len=len(data), damaged_ranges=damaged,
-            checksum_ok=checksum_ok, notes=tuple(notes),
-        )
-        return data, info, report
-    engine = resolve_executor(executor, workers)
-    if trace is not None:
-        trace.annotate(policy=engine.policy, workers=engine.workers,
-                       direction="salvage")
-    plan = plan_decode(info)
-    view = memoryview(blob)
-    out = bytearray(plan.out_len)
-    failures: list[ChunkFailure] = []  # list.append is GIL-atomic
-
-    def make_worker(worker_id: int):
-        resolve = _pipeline_resolver(codec, info)
-
-        def decode_job(i: int) -> None:
-            job = plan.jobs[i]
-            payload = view[job.offset : job.end]
-            length = plan.out_lengths[i]
-            offset = plan.out_offsets[i]
-            try:
-                _verify_chunk_crc(info, job.index, payload, job)
-                chunk = resolve(job.index).decode_chunk(payload, length)
-            except Exception as exc:
-                # Contained: the window stays zero-filled, the worklist
-                # moves on, and the failure is reported with both its
-                # payload and output coordinates.
-                failures.append(ChunkFailure(
-                    index=job.index,
-                    payload_offset=job.offset,
-                    payload_length=job.length,
-                    output_offset=offset,
-                    output_length=length,
-                    reason=str(exc) or type(exc).__name__,
-                    error_type=type(exc).__name__,
-                    codec=_chunk_codec_name(info, job.index, codec),
-                ))
-                return
-            out[offset : offset + length] = chunk
-
-        return decode_job
-
-    engine.run(plan.n_chunks, make_worker)
-    failures.sort(key=lambda f: f.index)
-    intermediate = bytes(out)
-    damaged_inter = merge_ranges(
-        (f.output_offset, f.output_offset + f.output_length) for f in failures
-    )
-    global_stage = None if info.fcm_restart else codec.make_global_stage()
-    global_failed = False
-    if global_stage is None:
-        data = intermediate
-        damaged_out = damaged_inter
-    else:
-        try:
-            data, damaged_out = global_stage.decode_salvage(
-                intermediate, damaged_inter
-            )
-        except Exception as exc:
-            global_failed = True
-            notes.append(
-                f"global stage {global_stage.name!r} inverse failed "
-                f"({type(exc).__name__}: {exc}); output zero-filled"
-            )
-            data = bytes(info.original_len)
-            damaged_out = ((0, info.original_len),) if info.original_len else ()
-    if len(data) != info.original_len:
-        notes.append(
-            f"decoded length {len(data)} != declared {info.original_len}; "
-            f"output adjusted and fully marked damaged"
-        )
-        data = data[: info.original_len] + bytes(
-            max(0, info.original_len - len(data))
-        )
-        damaged_out = ((0, info.original_len),) if info.original_len else ()
-    checksum_ok = None
-    if info.checksum is not None:
-        checksum_ok = fmt.checksum_of(data) == info.checksum
-        if not checksum_ok and not failures and not global_failed and not damaged_out:
-            notes.append(
-                "whole-input checksum mismatch with every chunk verifying; "
-                "damage sits outside the chunk CRCs' reach"
-            )
-            damaged_out = ((0, len(data)),) if data else ()
-    report = SalvageReport(
-        n_chunks=info.n_chunks,
-        output_len=len(data),
-        failures=tuple(failures),
-        damaged_ranges=merge_ranges(damaged_out),
-        checksum_ok=checksum_ok,
-        global_stage_failed=global_failed,
-        notes=tuple(notes),
-    )
-    return data, info, report
+    return _decompress(blob, (start, stop), workers=workers, executor=executor,
+                       trace=trace, errors=errors, batch=batch)

@@ -839,9 +839,13 @@ def concat_containers(blobs) -> bytes:
         total_orig += info.original_len
 
     if not payloads:
+        # An FCM codec must keep its restart marker even with no chunks:
+        # without it the decoder would run the global FCM inverse on an
+        # empty intermediate, which has no trailer.
         return build_container(
             codec_id=infos[0].codec_id, dtype_code=dtype_code, original_len=0,
             intermediate_len=0, chunk_size=chunk_size, chunk_payloads=[],
+            fcm_restart=codec_by_id(infos[0].codec_id).global_stage_factory is not None,
         )
     if len(set(member_ids)) == 1:
         # Uniform inputs keep the verbatim v3 shape earlier releases wrote.

@@ -341,17 +341,18 @@ class SharedMemoryProcessExecutor(Executor):
     overhead serialises on the GIL.  This executor keeps ``workers``
     OS processes alive and ships chunk windows to them as *named shared
     memory* (one copy in, one copy out — no per-chunk pickling of bulk
-    data).  The engine routes its compress/decompress block jobs through
-    :meth:`encode_chunks` / :meth:`decode_chunks`; both honour the
-    engine contracts — output bytes identical to serial, and on failure
-    the error of the lowest-indexed failing chunk is re-raised with its
-    serial message (errors cross the process boundary as
-    ``(index, type_name, message)`` triples and are rebuilt from
-    :mod:`repro.errors`).
+    data).  The engine hands it the same ascending block list the thread
+    executors run, through :meth:`encode_blocks` / :meth:`decode_blocks`,
+    and each worker runs the engine's own block job on its block
+    (:mod:`repro.core._procwork`).  Both honour the engine contracts —
+    output bytes identical to serial, and on failure the error of the
+    lowest-indexed failing chunk with its serial message (errors cross
+    the process boundary as ``(index, type_name, message)`` triples and
+    are rebuilt from :mod:`repro.errors`).
 
     The generic :meth:`run` cannot ship arbitrary closures to another
-    process; it degrades to an in-process serial sweep (used by e.g.
-    salvage decode), keeping every caller functional.
+    process; it degrades to an in-process serial sweep, keeping any
+    caller of the plain executor interface functional.
     """
 
     policy = "process"
@@ -376,138 +377,79 @@ class SharedMemoryProcessExecutor(Executor):
         # Arbitrary job closures are not picklable; run them here instead.
         return SerialExecutor.run(self, n_jobs, make_worker)
 
-    def _block_tasks(self, n_chunks: int):
-        bounds = static_block_bounds(n_chunks, min(self.workers, n_chunks))
-        return [
-            (int(bounds[w]), int(bounds[w + 1]))
-            for w in range(len(bounds) - 1)
-            if bounds[w] < bounds[w + 1]
-        ]
-
-    def encode_chunks(self, data, plan, codec_name: str, batch: bool,
-                      fcm_restart: bool = False) -> list:
-        """Compress every chunk of ``plan`` over ``data``; payload list."""
+    def encode_blocks(self, blocks, data, plan, codec_name: str,
+                      fcm_restart: bool, batch: bool) -> list[list[bytes]]:
+        """Compress each ``(lo, hi)`` block of ``plan`` over ``data``;
+        returns one payload list per block."""
         from multiprocessing import shared_memory
 
         from repro.core import _procwork
 
-        if plan.n_chunks == 0:
+        if not blocks:
             return []
         pool = self._ensure_pool()
-        data = bytes(data)
         shm = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
         try:
             shm.buf[: len(data)] = data
-            blocks = self._block_tasks(plan.n_chunks)
             tasks = [
-                (
-                    shm.name,
-                    codec_name,
-                    batch,
-                    [
-                        (plan.jobs[i].index, plan.jobs[i].offset,
-                         plan.jobs[i].end)
-                        for i in range(lo, hi)
-                    ],
-                    fcm_restart,
-                )
+                (shm.name, codec_name, fcm_restart, batch,
+                 [(job.offset, job.end) for job in plan.jobs[lo:hi]])
                 for lo, hi in blocks
             ]
-            payloads: list = [None] * plan.n_chunks
-            errors: list[tuple[int, str, str]] = []
-            for (lo, hi), (block_payloads, block_errors) in zip(
-                blocks, pool.map(_procwork.proc_encode_block, tasks)
-            ):
-                payloads[lo:hi] = block_payloads
-                errors.extend(block_errors)
-            if errors:
-                index, type_name, msg = min(errors, key=lambda e: e[0])
-                raise _procwork.rebuild_error(type_name, msg)
-            return payloads
+            results = pool.map(_procwork.proc_encode_block, tasks)
         finally:
             shm.close()
             shm.unlink()
+        # Blocks ascend, so the first failing block holds the lowest
+        # failing chunk.
+        for _, error in results:
+            if error is not None:
+                raise _procwork.rebuild_error(*error)
+        return [payloads for payloads, _ in results]
 
-    @staticmethod
-    def _split_blocks(blocks, chunk_codecs):
-        """Split block tasks so each is codec-homogeneous (v4 containers)."""
-        out = []
-        for lo, hi in blocks:
-            s = lo
-            for i in range(lo + 1, hi):
-                if chunk_codecs[i] != chunk_codecs[s]:
-                    out.append((s, i))
-                    s = i
-            out.append((s, hi))
-        return out
+    def decode_blocks(self, blocks, blob, plan, codec, info, batch: bool,
+                      out, failures: list | None = None) -> None:
+        """Decode each ``(lo, hi)`` block of ``plan`` out of ``blob`` into
+        ``out`` at the plan's write offsets.
 
-    def decode_chunks(
-        self, blob, plan, codec_name: str, chunk_crcs, batch: bool,
-        fcm_restart: bool = False, chunk_codecs=None,
-    ) -> bytes:
-        """Decode every chunk of ``plan`` out of ``blob``; returns the
-        concatenated intermediate buffer.
-
-        Subset (range) plans work unchanged: each task carries its job's
-        global chunk index for CRC lookup and error attribution, while
-        the write offsets stay relative to the plan's output buffer.
-
-        ``chunk_codecs`` (mixed v4 containers) is a per-plan-position
-        sequence of ``(codec_name, fcm_restart)`` pairs overriding the
-        global pair; blocks are split at codec changes so every worker
-        task still runs one pipeline.
+        Subset (range) plans work unchanged: each block carries its
+        jobs' global chunk indices for codec and CRC lookup and error
+        attribution.  ``failures`` is the block job's error policy:
+        ``None`` raises the lowest failing chunk's error, a list receives
+        every ``(index, type_name, message)`` triple.
         """
         from multiprocessing import shared_memory
 
         from repro.core import _procwork
+        from repro.core.plan import DecodePlan
 
-        if plan.n_chunks == 0:
-            return bytes(plan.out_len)
+        if not blocks:
+            return
         pool = self._ensure_pool()
-        blob = bytes(blob)
         in_shm = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-        out_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, plan.out_len)
-        )
+        out_shm = shared_memory.SharedMemory(create=True, size=max(1, plan.out_len))
         try:
             in_shm.buf[: len(blob)] = blob
-            blocks = self._block_tasks(plan.n_chunks)
-            if chunk_codecs is not None:
-                blocks = self._split_blocks(blocks, chunk_codecs)
-            tasks = [
-                (
-                    in_shm.name,
-                    out_shm.name,
-                    codec_name if chunk_codecs is None else chunk_codecs[lo][0],
-                    batch,
-                    [
-                        (
-                            plan.jobs[i].index,
-                            plan.jobs[i].offset,
-                            plan.jobs[i].end,
-                            plan.out_offsets[i],
-                            plan.out_lengths[i],
-                            None if chunk_crcs is None
-                            else chunk_crcs[plan.jobs[i].index],
-                        )
-                        for i in range(lo, hi)
-                    ],
-                    fcm_restart,
-                )
-                for lo, hi in blocks
-            ]
-            errors: list[tuple[int, str, str]] = []
-            for block_errors in pool.map(_procwork.proc_decode_block, tasks):
-                errors.extend(block_errors)
-            if errors:
-                index, type_name, msg = min(errors, key=lambda e: e[0])
-                raise _procwork.rebuild_error(type_name, msg)
-            return bytes(out_shm.buf[: plan.out_len])
+            tasks = []
+            for lo, hi in blocks:
+                member, restart = _procwork.chunk_codec(codec, info, plan.jobs[lo].index)
+                block = DecodePlan(jobs=plan.jobs[lo:hi], out_offsets=plan.out_offsets[lo:hi],
+                                   out_lengths=plan.out_lengths[lo:hi], out_len=plan.out_len)
+                tasks.append((in_shm.name, out_shm.name, member.name, restart,
+                              batch, block, info.chunk_crcs))
+            errors = [e for block in pool.map(_procwork.proc_decode_block, tasks)
+                      for e in block]
+            out[: plan.out_len] = out_shm.buf[: plan.out_len]
         finally:
             in_shm.close()
             in_shm.unlink()
             out_shm.close()
             out_shm.unlink()
+        if errors and failures is None:
+            _, type_name, message = min(errors, key=lambda e: e[0])
+            raise _procwork.rebuild_error(type_name, message)
+        if errors:
+            failures.extend(errors)
 
     def close(self) -> None:
         """Stop the worker processes; idempotent."""

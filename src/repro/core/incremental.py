@@ -23,9 +23,10 @@ exceptions:
   input where the local API would have fallen back.
 
 Everything routes through the same per-chunk primitives the batch engine
-uses (``codec.make_pipeline(...).encode_chunk`` / ``decode_chunk``), so
-the stages themselves cannot drift between the streamed and buffered
-paths.
+uses (``codec.make_pipeline(...).encode_chunk`` and the engine's guarded
+:func:`~repro.core._procwork.decode_chunk_guarded`), so neither the
+stages nor the chunk CRC checks and error messages can drift between
+the streamed and buffered paths.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ import zlib
 from repro.core import container as fmt
 from repro.core.chunking import CHUNK_SIZE
 from repro.core.codecs import Codec, codec_by_id
+from repro.core._procwork import decode_chunk_guarded
 from repro.core.compressor import _check_geometry, _pipeline_resolver
-from repro.errors import ChecksumError, CorruptDataError, FormatError, ReproError
+from repro.core.plan import ChunkJob
+from repro.errors import ChecksumError, FormatError
 
 __all__ = ["StreamingCompressor", "StreamingDecompressor"]
 
@@ -201,6 +204,8 @@ class StreamingDecompressor:
         self._crc = 0
         self._resolve = None
         self._out_lengths: tuple[int, ...] = ()
+        #: container byte offset of the next chunk payload (error messages).
+        self._offset = 0
         self._next_index = 0
         self._finished = False
 
@@ -228,27 +233,18 @@ class StreamingDecompressor:
         self.info = info
         self._resolve = _pipeline_resolver(codec, info)
         self._out_lengths = info.decoded_lengths()
+        self._offset = info.payload_offset
 
     def _decode_one(self, payload: bytes) -> tuple[int, bytes]:
         info = self.info
         i = self._next_index
         self._next_index += 1
-        if info.chunk_crcs is not None:
-            if fmt.checksum_of(payload) != info.chunk_crcs[i]:
-                raise ChecksumError(
-                    f"chunk {i} payload failed its stored CRC32 in the "
-                    f"streamed container"
-                )
-        pipeline = self._resolve(i)
-        try:
-            chunk = pipeline.decode_chunk(memoryview(payload), self._out_lengths[i])
-        except ReproError as exc:
-            raise type(exc)(f"chunk {i}: {exc}") from exc
-        except Exception as exc:  # foreign crash -> typed corruption
-            raise CorruptDataError(
-                f"chunk {i}: undecodable payload "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
+        job = ChunkJob(index=i, offset=self._offset, length=len(payload))
+        self._offset = job.end
+        chunk = decode_chunk_guarded(
+            self._resolve(i), job, memoryview(payload), self._out_lengths[i],
+            None if info.chunk_crcs is None else info.chunk_crcs[i],
+        )
         data = bytes(chunk)
         if info.checksum is not None:
             self._crc = zlib.crc32(data, self._crc)

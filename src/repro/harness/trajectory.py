@@ -6,8 +6,9 @@ throughput of the real implementation (never the device model):
 * per-codec compress/decompress throughput and ratio on a deterministic
   corpus sample (serial executor, so numbers are comparable across runs);
 * per-stage encode/decode throughput on a representative chunk;
-* kernel microbenchmarks (``pack_words``/``unpack_words`` at a grid of
-  representative widths, the BIT transpose, and count-leading-zeros);
+* per-backend kernel microbenchmarks (``pack_words``/``unpack_words`` at
+  one unaligned width per word size, the BIT transpose, and
+  count-leading-zeros) next to each backend's end-to-end codec numbers;
 * service throughput: the same codec work through a live ``fprz serve``
   socket vs in process, plus the small-request rate (requests/s);
 * random-access reads: ``decompress_range`` MB/s against slice size on
@@ -50,7 +51,8 @@ from repro.metrics.timing import measure_throughput
 
 SCHEMA_VERSION = 1
 
-#: Representative packed widths per word size (8-52 bits, 16 KiB chunks).
+#: Representative packed widths per word size (8-52 bits, 16 KiB chunks);
+#: the grid ``benchmarks/test_kernel_microbench.py`` sweeps.
 KERNEL_WIDTHS = {32: (8, 13, 23, 29), 64: (8, 13, 29, 52)}
 
 KERNEL_CHUNK_BYTES = 16384
@@ -97,50 +99,6 @@ def _sample_words(word_bits: int, width: int) -> np.ndarray:
     return rng.integers(0, limit, size=n, dtype=np.uint64).astype(
         np.dtype(f"u{word_bits // 8}")
     )
-
-
-def _kernel_section(runs: int) -> dict:
-    kernels: dict[str, dict] = {}
-    for word_bits, widths in KERNEL_WIDTHS.items():
-        n = KERNEL_CHUNK_BYTES // (word_bits // 8)
-        for width in widths:
-            words = _sample_words(word_bits, width)
-            packed = pack_words(words, width, word_bits)
-            key = f"pack_words/w{word_bits}/width{width}"
-            kernels[key] = {
-                "bytes_per_s": measure_throughput(
-                    lambda: pack_words(words, width, word_bits),
-                    KERNEL_CHUNK_BYTES, runs=runs,
-                )
-            }
-            key = f"unpack_words/w{word_bits}/width{width}"
-            kernels[key] = {
-                "bytes_per_s": measure_throughput(
-                    lambda: unpack_words(packed, n, width, word_bits),
-                    KERNEL_CHUNK_BYTES, runs=runs,
-                )
-            }
-        words = _sample_words(word_bits, word_bits - 1)
-        blob = bit_transpose(words, word_bits)
-        kernels[f"bit_transpose/w{word_bits}"] = {
-            "bytes_per_s": measure_throughput(
-                lambda: bit_transpose(words, word_bits),
-                KERNEL_CHUNK_BYTES, runs=runs,
-            )
-        }
-        kernels[f"bit_untranspose/w{word_bits}"] = {
-            "bytes_per_s": measure_throughput(
-                lambda: bit_untranspose(blob, n, word_bits),
-                KERNEL_CHUNK_BYTES, runs=runs,
-            )
-        }
-        kernels[f"count_leading_zeros/w{word_bits}"] = {
-            "bytes_per_s": measure_throughput(
-                lambda: count_leading_zeros(words, word_bits),
-                KERNEL_CHUNK_BYTES, runs=runs,
-            )
-        }
-    return kernels
 
 
 #: (word_bits, width) cells the per-backend kernel comparison times —
@@ -932,7 +890,6 @@ def record_trajectory(
                 "kernel_backend": active.name,
                 "backend_versions": kernel_backend_registry.backend_versions(),
             },
-            "kernels": _kernel_section(runs),
             "codecs": _codec_section(scale, runs, workers, policy),
             "stages": _stage_section(scale, runs),
             "service": _service_section(scale, runs),
@@ -1028,12 +985,6 @@ def format_trajectory(point: dict) -> str:
             f"{row['decompress_bytes_per_s'] / 1e6:>9.2f} MB/s "
             f"{row['ratio']:>8.3f}"
         )
-    kernels = point.get("kernels", {})
-    if kernels:
-        lines.append("")
-        lines.append(f"{'kernel':>32} {'throughput':>12}")
-        for key, row in sorted(kernels.items()):
-            lines.append(f"{key:>32} {row['bytes_per_s'] / 1e6:>9.2f} MB/s")
     backends = point.get("kernel_backend", {})
     if backends:
         lines.append("")

@@ -4,7 +4,7 @@ Every registered backend must produce *identical* results to the numpy
 reference for every kernel in the frozen contract — same bytes, same
 dtypes, same errors.  The suite runs against whatever is registered:
 
-* locally (no numba/cupy installed) the numba loop bodies are exercised
+* locally (no numba installed) the numba loop bodies are exercised
   un-jitted — ``pure_python_kernels()`` registers them as the
   ``numba-py`` backend, so the exact code numba compiles is verified
   byte for byte even where numba itself is absent;
@@ -21,7 +21,7 @@ import pytest
 
 import repro
 from repro.bitpack import backend as B
-from repro.bitpack import _cupy_kernels, _numba_kernels
+from repro.bitpack import _numba_kernels
 from repro.errors import ReproError
 from tests.core.test_golden_format import GOLDEN_CORPUS_SHA256, _golden_corpus
 
@@ -176,7 +176,6 @@ class TestEndToEndParity:
 REAL_BACKENDS = [
     name for name, have in (
         ("numba", _numba_kernels.HAVE_NUMBA),
-        ("cupy", _cupy_kernels.HAVE_CUPY),
     ) if have
 ]
 

@@ -185,11 +185,20 @@ class TestRegression:
 class TestFormat:
     def test_format_lists_codecs_and_kernels(self):
         point = _point(tag="fmt")
-        point["kernels"] = {"clz/w32": {"bytes_per_s": 5e8}}
+        point["kernel_backend"] = {"numpy/count_leading_zeros/w32": {"bytes_per_s": 5e8}}
         text = format_trajectory(point)
         assert "tag fmt" in text
         assert "spspeed" in text
-        assert "clz/w32" in text
+        assert "numpy/count_leading_zeros/w32" in text
+
+    def test_format_ignores_the_retired_kernels_section(self):
+        # Committed points recorded before the section was dropped still
+        # carry it; they must load and format, without the duplicate rows.
+        point = _point(tag="old")
+        point["kernels"] = {"clz/w32": {"bytes_per_s": 5e8}}
+        text = format_trajectory(point)
+        assert "spspeed" in text
+        assert "clz/w32" not in text
 
     def test_format_renders_range_and_parallel_sections(self):
         point = _point(tag="v3")

@@ -40,6 +40,21 @@ def _walk(rng, n, dtype):
     return np.cumsum(rng.normal(scale=0.01, size=n)).astype(dtype)
 
 
+def _wait_until(condition, what: str, timeout: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out after {timeout} s waiting for {what}")
+        time.sleep(0.005)
+
+
+def _wait_admitted(srv) -> None:
+    """Block until the server has admitted at least one job."""
+    gauge = srv.server.registry.gauge("queue_depth")
+    _wait_until(lambda: gauge.value >= 1, "a job to be admitted")
+
+
 @pytest.fixture(scope="module")
 def server():
     with ServerThread(ServiceConfig(port=0)) as srv:
@@ -208,7 +223,7 @@ class TestBackpressure:
 
             worker = threading.Thread(target=slow)
             worker.start()
-            time.sleep(0.3)  # the slow job is admitted and occupies the queue
+            _wait_admitted(srv)  # the slow job occupies the queue
             with ServiceClient(port=srv.port) as c:
                 with pytest.raises(BusyError, match="high-water"):
                     c.compress(data)
@@ -239,7 +254,7 @@ class TestBusyHint:
                 target=lambda: ServiceClient(port=srv.port).compress(data)
             )
             worker.start()
-            time.sleep(0.3)
+            _wait_admitted(srv)
             with ServiceClient(port=srv.port) as c:
                 with pytest.raises(BusyError) as info:
                     c.compress(data)
@@ -311,7 +326,7 @@ class TestGracefulDrain:
                                           dtype_code=fmt.DTYPE_F32),
             )
             abandoner._sock.sendall(frame)
-            time.sleep(0.2)  # job admitted and running
+            _wait_admitted(srv)  # job admitted and running
             abandoner.close()  # walk away mid-request
             started = time.monotonic()
             srv.stop(drain=True)
@@ -332,7 +347,7 @@ class TestGracefulDrain:
 
             worker = threading.Thread(target=inflight)
             worker.start()
-            time.sleep(0.3)  # request admitted, job sleeping in the pool
+            _wait_admitted(srv)  # job sleeping in the pool
             srv.stop(drain=True)
             worker.join(timeout=30)
             assert not worker.is_alive()
@@ -351,10 +366,11 @@ class TestGracefulDrain:
                     target=lambda: ServiceClient(port=srv.port).compress(data)
                 )
                 worker.start()
-                time.sleep(0.3)
+                _wait_admitted(srv)
                 stopper = threading.Thread(target=srv.stop)
                 stopper.start()
-                time.sleep(0.3)  # drain in progress, held open by the job
+                # Drain in progress, held open by the job.
+                _wait_until(lambda: srv.server._draining, "the drain to start")
                 with pytest.raises(ServiceError, match="draining"):
                     bystander.compress(data)
                 worker.join(timeout=30)
