@@ -20,8 +20,8 @@ KiB the input splits into 4x as many dispatch units, so a regression in
 the batch path (a stage silently falling back to its per-chunk loop,
 say) moves the ratio far above run-to-run noise; at 16 KiB on a 1-CPU
 box the same regression can hide inside kernel-time jitter.  End-to-end
-throughput at the default chunk size is tracked by ``BENCH_pr5.json``
-against the previous PR's numbers instead.
+throughput at the default chunk size is measured by the ``bulk-sp`` and
+``bulk-dp`` workloads of ``bench/`` instead.
 
 Timing follows the paired-interleaved pattern of
 ``test_kernel_microbench._paired_speedup``: best-of-runs with trials

@@ -3,9 +3,9 @@ reference they replaced.
 
 The lane kernels (``repro.bitpack.lanes``) exist purely for speed: the
 wire format is unchanged (golden digests pin that).  This module keeps
-the speed claim honest — at the representative widths of the trajectory
-harness (8-52 bits, 16 KiB chunks) the kernels must beat the reference
-by >= 3x in geometric mean, per word size and direction.
+the speed claim honest — at representative widths (8-52 bits, 16 KiB
+chunks) the kernels must beat the reference by >= 3x in geometric
+mean, per word size and direction.
 
 Byte-aligned widths are in the grid on purpose: they hit the pure
 byte-slice path (5-14x) and carry the geomean; the unaligned widths
@@ -35,7 +35,11 @@ import pytest
 from repro.bitpack import backend as _backend
 from repro.bitpack import pack_words, unpack_words
 from repro.bitpack._numba_kernels import HAVE_NUMBA
-from repro.harness.trajectory import KERNEL_CHUNK_BYTES, KERNEL_WIDTHS
+
+#: Representative packed widths per word size (8-52 bits), swept on
+#: 16 KiB chunks.
+KERNEL_WIDTHS = {32: (8, 13, 23, 29), 64: (8, 13, 29, 52)}
+KERNEL_CHUNK_BYTES = 16384
 
 MIN_GEOMEAN_SPEEDUP = 3.0
 RUNS = 9

@@ -28,7 +28,6 @@ from repro.bitpack.backend import (
     KernelBackend,
     active_backend,
     available_backends,
-    backend_versions,
     get_backend,
     register_backend,
     set_backend,
@@ -54,7 +53,6 @@ __all__ = [
     "KernelBackend",
     "active_backend",
     "available_backends",
-    "backend_versions",
     "bit_transpose",
     "bit_transpose_batch",
     "bit_untranspose",

@@ -84,7 +84,7 @@ class KernelBackend:
     name: str
     kernels: Mapping[str, Callable]
     version: str | None = None
-    #: True for JIT/GPU backends (shown in stats and trajectory configs).
+    #: True for JIT/GPU backends.
     accelerated: bool = False
     priority: int = 0
     auto: bool = True
@@ -243,10 +243,3 @@ def use_backend(name: str | None):
         yield active_backend()
     finally:
         set_backend(previous)
-
-
-def backend_versions() -> dict:
-    """Name -> version of every registered backend (for result configs)."""
-    _ensure_builtin_backends()
-    with _lock:
-        return {b.name: b.version for b in _registry.values()}

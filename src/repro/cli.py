@@ -260,49 +260,9 @@ def _bench_trace(data, codec, workers, policies) -> int:
     return 0
 
 
-def _cmd_bench_trajectory(args: argparse.Namespace) -> int:
-    """Record a benchmark-trajectory point; optionally gate on a baseline."""
-    from repro.harness.trajectory import (
-        compare_trajectories,
-        format_trajectory,
-        load_trajectory,
-        record_trajectory,
-        save_trajectory,
-    )
-
-    workers = _resolve_workers(args)
-    point = record_trajectory(
-        tag=args.tag, scale=args.scale, workers=workers,
-        policy=args.policy, backend=getattr(args, "backend", None),
-    )
-    print(f"kernel backend: {point['config']['kernel_backend']}")
-    print()
-    print(format_trajectory(point))
-    if args.save:
-        save_trajectory(point, args.save)
-        print(f"\nsaved trajectory point to {args.save}")
-    if args.baseline:
-        baseline = load_trajectory(args.baseline)
-        regressions = compare_trajectories(
-            baseline, point, threshold=args.threshold
-        )
-        print()
-        if regressions:
-            print(f"REGRESSIONS vs {args.baseline} "
-                  f"(threshold {args.threshold * 100:.0f}%):")
-            for reg in regressions:
-                print(f"  {reg.render()}")
-            return 1
-        print(f"no codec regressions vs {args.baseline} "
-              f"(threshold {args.threshold * 100:.0f}%)")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness import FIGURES, format_figure, run_figure
 
-    if args.save or args.baseline:
-        return _cmd_bench_trajectory(args)
     if args.trace or args.policy or args.codec:
         return _cmd_bench_measured(args)
     figure_ids = [args.figure] if args.figure else sorted(FIGURES)
@@ -754,19 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true",
                    help="print per-chunk stage timings and sizes from a "
                         "traced engine run")
-    p.add_argument("--save", default=None, metavar="FILE",
-                   help="record a benchmark-trajectory point (codec, stage, "
-                        "and kernel throughputs) and write it as JSON")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="compare the recorded point against a saved "
-                        "trajectory point; exit 1 on codec regressions")
-    p.add_argument("--threshold", type=float, default=0.30,
-                   help="allowed fractional throughput drop vs --baseline "
-                        "(default 0.30)")
-    p.add_argument("--tag", default=None,
-                   help="tag stored inside the trajectory point (e.g. pr3)")
     p.add_argument("--backend", default=None,
-                   help="kernel backend for measured/trajectory runs: "
+                   help="kernel backend for measured runs: "
                         "numpy | numba (default: auto — numba "
                         "when importable, else numpy)")
     p.set_defaults(func=_cmd_bench)

@@ -6,9 +6,6 @@
 * :mod:`repro.harness.figures` — the twelve figure configurations.
 * :mod:`repro.harness.report` — text tables with Pareto annotation and
   the EXPERIMENTS.md writer.
-* :mod:`repro.harness.trajectory` — measured benchmark-trajectory points
-  (``BENCH_<tag>.json``): per-codec, per-stage, and kernel throughputs
-  in a stable schema, with baseline regression comparison.
 """
 
 from repro.harness.figures import FIGURES, FigureSpec
@@ -21,29 +18,16 @@ from repro.harness.runner import (
     run_suite,
 )
 from repro.harness.report import format_figure, format_measured, render_experiments
-from repro.harness.trajectory import (
-    Regression,
-    compare_trajectories,
-    format_trajectory,
-    load_trajectory,
-    record_trajectory,
-    save_trajectory,
-)
 
 __all__ = [
     "FIGURES",
     "FigureResult",
     "FigureSpec",
     "MeasuredRow",
-    "Regression",
     "ResultRow",
-    "compare_trajectories",
     "format_figure",
     "format_measured",
-    "format_trajectory",
-    "load_trajectory",
     "measure_executors",
-    "record_trajectory",
     "render_experiments",
     "run_figure",
     "run_suite",

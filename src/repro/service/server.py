@@ -124,10 +124,6 @@ class ServiceConfig:
     #: a lower bound on their next delay; 0 sends the hint-less
     #: protocol-v1 empty body.
     busy_retry_ms: int = 50
-    #: Artificial per-job delay in seconds.  A test/experiment knob for
-    #: exercising deadlines, backpressure, and drain deterministically;
-    #: leave at 0 in production.
-    job_delay: float = 0.0
     #: Kernel backend pinned at startup (``fprz serve --backend``).
     #: ``None`` keeps the process default (explicit pin > env var >
     #: auto).  The *resolved* name is reported in STATS and as the
@@ -857,8 +853,6 @@ class CompressionServer:
     # translated to a typed error frame by ``_run_job``.
 
     def _work_compress(self, body: bytes) -> tuple[bytes, str]:
-        if self.config.job_delay:
-            time.sleep(self.config.job_delay)
         codec, dtype_code, shape, payload = proto.decode_compress_body(body)
         if dtype_code == fmt.DTYPE_BYTES:
             data: np.ndarray | bytes = payload
@@ -877,8 +871,6 @@ class CompressionServer:
         return blob, codec_name
 
     def _work_decompress(self, body: bytes) -> tuple[bytes, str]:
-        if self.config.job_delay:
-            time.sleep(self.config.job_delay)
         data, info = decompress_bytes(
             bytes(body),
             workers=self.config.codec_workers, executor=self._chunk_executor,
@@ -937,8 +929,8 @@ class CompressionServer:
 class ServerThread:
     """Run a :class:`CompressionServer` on a background thread.
 
-    The harness used by the tests, the benchmark trajectory, and any
-    caller that wants a live server without owning an event loop::
+    The harness used by the tests, the benchmark, and any caller that
+    wants a live server without owning an event loop::
 
         with ServerThread(ServiceConfig(port=0)) as srv:
             with ServiceClient(port=srv.port) as client:

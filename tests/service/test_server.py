@@ -2,8 +2,9 @@
 
 Every test runs a :class:`~repro.service.server.ServerThread` on an
 ephemeral port and talks to it with the blocking
-:class:`~repro.service.client.ServiceClient` — the same harness the
-benchmark trajectory and the CI smoke job use.  The acceptance
+:class:`~repro.service.client.ServiceClient` — the same harness the CI
+smoke job uses.  Tests that need a job to stay in flight hold it with
+the ``held`` fixture instead of timing a sleep.  The acceptance
 invariants: remote compression is byte-identical to the in-process API,
 hostile frames and overload fail typed (never by hanging or crashing
 the server), and a graceful stop drains in-flight work.
@@ -30,6 +31,7 @@ from repro.errors import (
 )
 from repro.service import ServerThread, ServiceClient, ServiceConfig
 from repro.service import protocol as wire
+from repro.service.server import CompressionServer
 
 
 def _config(**overrides) -> ServiceConfig:
@@ -53,6 +55,32 @@ def _wait_admitted(srv) -> None:
     """Block until the server has admitted at least one job."""
     gauge = srv.server.registry.gauge("queue_depth")
     _wait_until(lambda: gauge.value >= 1, "a job to be admitted")
+
+
+def _begin_stop(srv) -> threading.Thread:
+    """Start a graceful stop on another thread; return once draining begins."""
+    stopper = threading.Thread(target=srv.stop)
+    stopper.start()
+    _wait_until(lambda: srv.server._draining, "the drain to start")
+    return stopper
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """Hold every compress/decompress job until the test sets the event.
+
+    Set it before leaving the ``ServerThread`` block of a test whose job
+    is still admitted, or the server's drain waits for it.
+    """
+    release = threading.Event()
+    for name in ("_work_compress", "_work_decompress"):
+        def waiting(self, body, work=getattr(CompressionServer, name)):
+            release.wait(timeout=30)
+            return work(self, body)
+
+        monkeypatch.setattr(CompressionServer, name, waiting)
+    yield release
+    release.set()
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +219,8 @@ class TestTypedFailures:
 
 
 class TestDeadlines:
-    def test_slow_request_cancelled_without_poisoning_the_connection(self, rng):
-        config = _config(request_timeout=0.2, job_delay=1.0, job_threads=2)
+    def test_slow_request_cancelled_without_poisoning_the_connection(self, rng, held):
+        config = _config(request_timeout=0.2, job_threads=2)
         with ServerThread(config) as srv:
             with ServiceClient(port=srv.port) as c:
                 data = _walk(rng, 2_000, np.float32)
@@ -208,10 +236,9 @@ class TestDeadlines:
 
 
 class TestBackpressure:
-    def test_queue_overflow_surfaces_busy(self, rng):
+    def test_queue_overflow_surfaces_busy(self, rng, held):
         config = _config(
-            queue_high_water=1, job_threads=1, job_delay=0.8,
-            request_timeout=30.0,
+            queue_high_water=1, job_threads=1, request_timeout=30.0,
         )
         data = _walk(rng, 1_000, np.float32)
         with ServerThread(config) as srv:
@@ -227,7 +254,9 @@ class TestBackpressure:
             with ServiceClient(port=srv.port) as c:
                 with pytest.raises(BusyError, match="high-water"):
                     c.compress(data)
-            worker.join()
+            held.set()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
             # The admitted job was unaffected by the rejection.
             assert results["blob"] == repro.compress(data)
             with ServiceClient(port=srv.port) as c:
@@ -243,11 +272,8 @@ class TestBackpressure:
 
 
 class TestBusyHint:
-    def test_busy_carries_retry_after_ms(self, rng):
-        config = _config(
-            queue_high_water=1, job_threads=1, job_delay=0.8,
-            busy_retry_ms=123,
-        )
+    def test_busy_carries_retry_after_ms(self, rng, held):
+        config = _config(queue_high_water=1, job_threads=1, busy_retry_ms=123)
         data = _walk(rng, 1_000, np.float32)
         with ServerThread(config) as srv:
             worker = threading.Thread(
@@ -259,7 +285,9 @@ class TestBusyHint:
                 with pytest.raises(BusyError) as info:
                     c.compress(data)
                 assert info.value.retry_after_ms == 123
-            worker.join()
+            held.set()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
 
     def test_hint_can_be_disabled(self, rng):
         # busy_retry_ms=0 sends the legacy empty BUSY body.
@@ -275,8 +303,8 @@ class TestBrokenConnections:
     """After a mid-frame failure the client connection must not be
     silently reusable — the stream position cannot be trusted."""
 
-    def test_timeout_mid_frame_poisons_the_connection(self, rng):
-        config = _config(job_delay=1.0)
+    def test_timeout_mid_frame_poisons_the_connection(self, rng, held):
+        config = _config()
         data = _walk(rng, 1_000, np.float32)
         with ServerThread(config) as srv:
             with ServiceClient(port=srv.port, timeout=0.2) as c:
@@ -288,9 +316,10 @@ class TestBrokenConnections:
 
                 with pytest.raises(ConnectionBrokenError, match="desync"):
                     c.ping()
+            held.set()
 
-    def test_poisoned_errors_carry_transport_markers(self, rng):
-        config = _config(job_delay=1.0)
+    def test_poisoned_errors_carry_transport_markers(self, rng, held):
+        config = _config()
         data = _walk(rng, 1_000, np.float32)
         with ServerThread(config) as srv:
             with ServiceClient(port=srv.port, timeout=0.2) as c:
@@ -298,6 +327,7 @@ class TestBrokenConnections:
                     c.compress(data)
                 assert info.value.transport is True
                 assert info.value.request_sent is True  # ambiguous: sent
+            held.set()
 
     def test_rejected_oversize_request_does_not_poison(self, rng):
         with ServerThread(_config()) as srv:
@@ -311,10 +341,10 @@ class TestBrokenConnections:
 
 
 class TestGracefulDrain:
-    def test_client_disconnect_mid_request_does_not_wedge_drain(self, rng):
+    def test_client_disconnect_mid_request_does_not_wedge_drain(self, rng, held):
         """A client that vanishes mid-request must not stall the drain:
         its job completes into the void and stop() still returns."""
-        config = _config(job_delay=0.6, drain_timeout=10.0)
+        config = _config(drain_timeout=10.0)
         data = _walk(rng, 2_000, np.float32)
         with ServerThread(config) as srv:
             abandoner = ServiceClient(port=srv.port)
@@ -329,13 +359,16 @@ class TestGracefulDrain:
             _wait_admitted(srv)  # job admitted and running
             abandoner.close()  # walk away mid-request
             started = time.monotonic()
-            srv.stop(drain=True)
+            stopper = _begin_stop(srv)
+            held.set()  # the drain is now waiting on a running job
+            stopper.join(timeout=30)
+            assert not stopper.is_alive()
             assert time.monotonic() - started < 8.0
             # The drain completed despite the dead client: the job's
             # reply was discarded, not raised.
 
-    def test_stop_waits_for_inflight_work(self, rng):
-        config = _config(job_delay=0.8, drain_timeout=30.0)
+    def test_stop_waits_for_inflight_work(self, rng, held):
+        config = _config(drain_timeout=30.0)
         data = _walk(rng, 2_000, np.float32)
         with ServerThread(config) as srv:
             port = srv.port
@@ -347,9 +380,12 @@ class TestGracefulDrain:
 
             worker = threading.Thread(target=inflight)
             worker.start()
-            _wait_admitted(srv)  # job sleeping in the pool
-            srv.stop(drain=True)
+            _wait_admitted(srv)  # job held in the pool
+            stopper = _begin_stop(srv)
+            held.set()
+            stopper.join(timeout=30)
             worker.join(timeout=30)
+            assert not stopper.is_alive()
             assert not worker.is_alive()
             # The in-flight request completed, correctly, during the drain.
             assert results["blob"] == repro.compress(data)
@@ -357,8 +393,8 @@ class TestGracefulDrain:
             with pytest.raises(ServiceError, match="cannot connect"):
                 ServiceClient(port=port, timeout=2.0)
 
-    def test_new_requests_during_drain_get_shutting_down(self, rng):
-        config = _config(job_delay=1.0, drain_timeout=30.0)
+    def test_new_requests_during_drain_get_shutting_down(self, rng, held):
+        config = _config(drain_timeout=30.0)
         data = _walk(rng, 2_000, np.float32)
         with ServerThread(config) as srv:
             with ServiceClient(port=srv.port) as bystander:
@@ -367,14 +403,14 @@ class TestGracefulDrain:
                 )
                 worker.start()
                 _wait_admitted(srv)
-                stopper = threading.Thread(target=srv.stop)
-                stopper.start()
-                # Drain in progress, held open by the job.
-                _wait_until(lambda: srv.server._draining, "the drain to start")
+                stopper = _begin_stop(srv)  # held open by the job
                 with pytest.raises(ServiceError, match="draining"):
                     bystander.compress(data)
+                held.set()
                 worker.join(timeout=30)
                 stopper.join(timeout=30)
+                assert not worker.is_alive()
+                assert not stopper.is_alive()
 
 
 class TestStatsOpcode:
