@@ -233,14 +233,26 @@ def _elim_rows_loop(leading, n_rows, n, word_bits, counts):
             counts[r, k] = total
 
 
-def _choose_k_rows_loop(counts, n_rows, n, word_bits, k_out, cost_out):
-    """Closed-form cost argmin per row (first minimum, like np.argmin)."""
-    cost_disabled = n * word_bits
-    for r in range(n_rows):
+def _choose_k_rows_loop(leading, counts, word_bits, hist, k_out, cost_out):
+    """Per-row histogram, suffix sum and closed-form cost argmin over
+    ragged rows (first minimum, like np.argmin); ``hist`` is scratch."""
+    start = 0
+    for r in range(len(counts)):
+        n = counts[r]
+        for k in range(word_bits + 1):
+            hist[k] = 0
+        for i in range(start, start + n):
+            hist[leading[i]] += 1
+        start += n
+        total = 0
+        for k in range(word_bits, -1, -1):
+            total += hist[k]
+            hist[k] = total
+        cost_disabled = n * word_bits
         best_k = 1
-        best_cost = n + (n - counts[r, 1]) * 1 + n * (word_bits - 1)
+        best_cost = n + (n - hist[1]) * 1 + n * (word_bits - 1)
         for k in range(2, word_bits + 1):
-            cost = n + (n - counts[r, k]) * k + n * (word_bits - k)
+            cost = n + (n - hist[k]) * k + n * (word_bits - k)
             if cost < best_cost:
                 best_cost = cost
                 best_k = k
@@ -371,16 +383,17 @@ def _make_kernels(jit):
         return counts
 
     def choose_k_rows(
-        leading2d: np.ndarray, n: int, word_bits: int
+        leading: np.ndarray, counts: np.ndarray, word_bits: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        n_rows = len(leading2d)
-        k = np.zeros(n_rows, dtype=np.int64)
-        cost = np.zeros(n_rows, dtype=np.int64)
-        if n == 0:
-            return k, cost
-        counts = eliminated_counts_rows(leading2d, word_bits)
-        if n_rows:
-            choose_k_rows_loop(counts, n_rows, n, word_bits, k, cost)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
+        k = np.zeros(len(counts), dtype=np.int64)
+        cost = np.zeros(len(counts), dtype=np.int64)
+        if len(counts):
+            choose_k_rows_loop(
+                np.ascontiguousarray(leading, dtype=np.uint8).reshape(-1),
+                counts, word_bits, np.zeros(word_bits + 1, dtype=np.int64),
+                k, cost,
+            )
         return k, cost
 
     return {

@@ -41,7 +41,7 @@ import signal
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -943,6 +943,7 @@ class ServerThread:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
+        self._stopped = threading.Event()
         self._error: BaseException | None = None
 
     @property
@@ -982,16 +983,30 @@ class ServerThread:
         await self.server.wait_stopped()
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Thread-safe graceful stop; idempotent."""
+        """Thread-safe graceful stop; returns at once after a completed
+        stop.  The stop coroutine is created on the loop thread, so a loop
+        that closes first leaves none unawaited (the wait ends with it)."""
         if self._loop is None or self.server is None or self._error is not None:
             return
-        if self._thread is None or not self._thread.is_alive():
+        if self._stopped.is_set() or self._thread is None or not self._thread.is_alive():
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.stop(drain=drain), self._loop
-        )
-        with contextlib.suppress(Exception):
-            future.result(timeout=timeout)
+        done: Future = Future()
+
+        def begin() -> None:  # runs on the loop; the task is kept and its result read
+            self._stop_task = asyncio.ensure_future(self.server.stop(drain=drain))
+            self._stop_task.add_done_callback(
+                lambda t: done.set_result(t.cancelled() or t.exception())
+            )
+
+        try:
+            self._loop.call_soon_threadsafe(begin)
+        except RuntimeError:  # the loop has closed
+            return
+        deadline = time.monotonic() + timeout
+        while self._thread.is_alive() and time.monotonic() < deadline:
+            if wait([done], timeout=0.05).done:
+                self._stopped.set()
+                return
 
 
 def wait_for_port(

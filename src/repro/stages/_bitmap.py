@@ -21,9 +21,12 @@ import struct
 import numpy as np
 
 from repro.errors import CorruptDataError
+from repro.stages._batch import bounds, pad_rows, row_sums, spread, trim_rows
 from repro.stages._frame import Reader, Writer
 
 MAX_LEVELS = 3
+
+_U32 = struct.Struct("<I")
 
 
 def _repeat_mask(level_bytes: np.ndarray) -> np.ndarray:
@@ -110,99 +113,132 @@ def decompress_bitmap(reader: Reader, bit_count: int) -> np.ndarray:
     return np.unpackbits(level)[:bit_count].view(np.bool_)
 
 
-def compressed_bitmap_size(bits: np.ndarray, max_levels: int = MAX_LEVELS) -> int:
-    """Exact encoded size in bytes without materialising the payload twice."""
-    return len(compress_bitmap(bits, max_levels))
+def read_bitmap(buf, pos: int, bit_count: int) -> tuple[tuple, int]:
+    """``((depth, final level, kept bytes per level, innermost first),
+    end)`` of the bitmap at ``buf[pos:]``.  Pieces past the end of ``buf``
+    come back short: the caller checks where its payload ends."""
+    depth = buf[pos]
+    if depth > 8:
+        raise CorruptDataError(f"implausible bitmap recursion depth {depth}")
+    size = (bit_count + 7) // 8
+    for _ in range(depth):
+        size = (size + 7) // 8
+    pos += 1 + size
+    final = buf[pos - size : pos]
+    kept = []
+    for _ in range(depth):
+        (n_kept,) = _U32.unpack_from(buf, pos)
+        pos += 4 + n_kept
+        kept.append(buf[pos - n_kept : pos])
+    return (depth, final, kept), pos
 
 
-def compress_bitmap_batch(bits2d: np.ndarray, max_levels: int = MAX_LEVELS) -> list[bytes]:
-    """Per-row :func:`compress_bitmap` of a ``(n_rows, bit_count)`` grid.
+def _unpack_rows(level: np.ndarray, sizes: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Each row's packed bytes as bits, cut to ``used[r]`` bits; raises
+    where a row's padding bits are set, like :func:`_check_bitmap_pad`."""
+    return trim_rows(np.unpackbits(level).view(np.bool_), sizes * 8, used)
 
-    The recursion depth and every level's packed size depend only on the
-    bit count, which is shared by all rows — so each level runs as one 2D
-    ``packbits``/repeat-mask pass and only the kept bytes differ per row.
-    Output is byte-identical to compressing each row on its own.
-    """
-    n_rows = len(bits2d)
-    level2d = np.packbits(bits2d, axis=1)
-    kept_levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    levels = 0
-    while levels < max_levels and level2d.shape[1] > 4:
-        prev = np.empty_like(level2d)
-        prev[:, 0] = 0
-        prev[:, 1:] = level2d[:, :-1]
-        mask2d = level2d != prev
-        counts = mask2d.sum(axis=1)
-        bounds = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        kept_levels.append((level2d[mask2d], counts, bounds))
-        level2d = np.packbits(mask2d, axis=1)
-        levels += 1
-    final = level2d.tobytes()
-    final_size = level2d.shape[1]
-    prefix = struct.pack("<B", levels)
-    out: list[bytes] = []
-    for r in range(n_rows):
-        parts = [prefix, final[r * final_size : (r + 1) * final_size]]
-        for kept_flat, counts, bounds in reversed(kept_levels):
-            parts.append(struct.pack("<I", int(counts[r])))
-            parts.append(kept_flat[bounds[r] : bounds[r + 1]].tobytes())
-        out.append(b"".join(parts))
+
+def _active(active, level, sizes) -> np.ndarray:
+    """The rows of ``level`` where ``active``."""
+    return level if active.all() else level[np.repeat(active, sizes)]
+
+
+def _merge_rows(active, new, sizes, level, old_sizes) -> np.ndarray:
+    """Rows of ``new`` where ``active``, else the rows of ``level``."""
+    if active.all():
+        return new
+    out = np.empty(int(sizes.sum()), dtype=np.uint8)
+    take = np.repeat(active, sizes)
+    out[take] = new
+    out[~take] = level[~np.repeat(active, old_sizes)]
     return out
 
 
-def decompress_bitmap_batch(readers: list[Reader], bit_count: int) -> np.ndarray:
-    """Per-reader :func:`decompress_bitmap`, vectorised across the batch.
+def compress_bitmap_rows(
+    bits: np.ndarray, counts: np.ndarray, max_levels: int = MAX_LEVELS
+) -> list[bytes]:
+    """Per-row :func:`compress_bitmap` of ragged rows of bits.
 
-    Every reader must sit at a bitmap compressed from ``bit_count`` bits;
-    valid payloads then share the recursion depth and per-level sizes, so
-    the unpack/forward-fill sweeps run once over a 2D grid.  Any
-    structural mismatch raises :class:`CorruptDataError` — callers fall
-    back to the per-chunk path, which reproduces the serial error.
+    Each level of every row is one ``packbits`` and one repeat-mask pass
+    over the flat array.  A row recurses while its level is longer than
+    four bytes, so rows of different bit counts stop at different depths;
+    a stopped row passes through the later levels unchanged.
     """
-    n_rows = len(readers)
-    depths = [reader.u8() for reader in readers]
-    levels = depths[0] if depths else 0
-    if any(d != levels for d in depths):
-        raise CorruptDataError("bitmap recursion depth mismatch across batch")
-    if levels > 8:
-        raise CorruptDataError(f"implausible bitmap recursion depth {levels}")
-    sizes = [(bit_count + 7) // 8]
-    for _ in range(levels):
-        sizes.append((sizes[-1] + 7) // 8)
-    level2d = np.empty((n_rows, sizes[-1]), dtype=np.uint8)
-    for r, reader in enumerate(readers):
-        level2d[r] = np.frombuffer(reader.raw(sizes[-1]), dtype=np.uint8)
-    for depth in range(levels - 1, -1, -1):
-        n_kept = np.empty(n_rows, dtype=np.int64)
-        kept_rows = []
-        for r, reader in enumerate(readers):
-            n_kept[r] = reader.u32()
-            kept_rows.append(np.frombuffer(reader.raw(int(n_kept[r])), dtype=np.uint8))
-        offsets = np.zeros(n_rows, dtype=np.int64)
-        np.cumsum(n_kept[:-1], out=offsets[1:])
-        kept_flat = np.concatenate(kept_rows) if kept_rows else np.zeros(0, np.uint8)
-        _check_bitmap_pad_rows(level2d, sizes[depth])
-        mask2d = np.unpackbits(level2d, axis=1)[:, : sizes[depth]].view(np.bool_)
-        counts2d = np.cumsum(mask2d, axis=1)
-        totals = counts2d[:, -1] if mask2d.shape[1] else np.zeros(n_rows, np.int64)
-        if np.any(totals != n_kept):
+    level = np.packbits(pad_rows(bits, counts))
+    sizes = (counts + 7) // 8
+    depth = np.zeros(len(counts), dtype=np.int64)
+    steps = []
+    for _ in range(max_levels):
+        active = sizes > 4
+        if not active.any():
+            break
+        cur_sizes = sizes[active]
+        cur = _active(active, level, sizes)
+        prev = np.empty_like(cur)
+        prev[1:] = cur[:-1]
+        prev[bounds(cur_sizes)[:-1]] = 0  # the byte before each row is 0
+        mask = cur != prev
+        steps.append((active, row_sums(mask, cur_sizes), cur[mask]))
+        new_sizes = np.where(active, (sizes + 7) // 8, sizes)
+        packed = np.packbits(pad_rows(mask, cur_sizes))
+        level = _merge_rows(active, packed, new_sizes, level, sizes)
+        sizes = new_sizes
+        depth += active
+    # Lay every row's payload out in one buffer: depth, final level, then
+    # each level's kept count and bytes, innermost level first.
+    lengths = 1 + sizes
+    for active, kept_counts, _ in steps:
+        lengths[active] += 4 + kept_counts
+    at = bounds(lengths)
+    out = np.empty(at[-1], dtype=np.uint8)
+    out[at[:-1]] = depth
+    cursor = at[:-1] + 1
+    out[spread(cursor, sizes)] = level
+    cursor += sizes
+    for active, kept_counts, kept in reversed(steps):
+        head = cursor[active]
+        out[(head[:, None] + np.arange(4)).reshape(-1)] = kept_counts.astype("<u4").view(np.uint8)
+        out[spread(head + 4, kept_counts)] = kept
+        cursor[active] = head + 4 + kept_counts
+    view, at = memoryview(out), at.tolist()
+    return [view[a:b] for a, b in zip(at[:-1], at[1:])]
+
+
+
+def decompress_bitmap_rows(parsed: list, counts: np.ndarray) -> np.ndarray:
+    """Per-row :func:`decompress_bitmap` of :func:`read_bitmap` pieces,
+    as flat ragged rows of bits.  Level ``j`` runs over the rows deeper
+    than ``j`` in one pass; every per-row check (pad bits, kept-byte
+    counts) holds, so a batch with a bad row raises.
+    """
+    depth = np.array([p[0] for p in parsed], dtype=np.int64)
+    size_at = [(counts + 7) // 8]
+    for _ in range(int(depth.max(initial=0))):
+        size_at.append((size_at[-1] + 7) // 8)
+    sizes = np.choose(depth, size_at)
+    level = np.frombuffer(b"".join(p[1] for p in parsed), dtype=np.uint8)
+    for j in range(len(size_at) - 2, -1, -1):
+        active = depth > j
+        rows = np.flatnonzero(active).tolist()
+        target = size_at[j][active]
+        mask = _unpack_rows(_active(active, level, sizes), sizes[active], target)
+        pieces = [parsed[r][2][parsed[r][0] - 1 - j] for r in rows]
+        n_kept = np.array([len(piece) for piece in pieces], dtype=np.int64)
+        if np.any((row_sums(mask, target) != n_kept) & (target > 0)):
             raise CorruptDataError("bitmap level kept-byte count mismatch")
-        out2d = np.zeros(mask2d.shape, dtype=np.uint8)
-        has_prior = counts2d > 0
-        idx = counts2d - 1 + offsets[:, None]
-        out2d[has_prior] = kept_flat[idx[has_prior]]
-        level2d = out2d
-    _check_bitmap_pad_rows(level2d, bit_count)
-    return np.unpackbits(level2d, axis=1)[:, :bit_count].view(np.bool_)
-
-
-def _check_bitmap_pad_rows(level2d: np.ndarray, used_bits: int) -> None:
-    """Batch form of :func:`_check_bitmap_pad` (any bad row fails the batch)."""
-    pad_bits = level2d.shape[1] * 8 - used_bits
-    if pad_bits and level2d.shape[1] and np.any(
-        level2d[:, -1] & np.uint8((1 << pad_bits) - 1)
-    ):
-        raise CorruptDataError(
-            f"nonzero padding bits in packed bitmap level ({used_bits} bits used)"
+        # A set bit takes the row's next kept byte, a clear one repeats the
+        # previous byte: a running count indexes each row's kept bytes
+        # behind a 0, the byte before the row.  The count steps once more
+        # at each row start, onto that row's 0.
+        lead = [piece for piece, size in zip(pieces, target.tolist()) if size]
+        kept = np.frombuffer(
+            b"".join(part for piece in lead for part in (b"\0", piece)), dtype=np.uint8
         )
+        step = mask.astype(np.uint8)
+        step[bounds(target)[:-1][target > 0]] += 1
+        filled = kept[np.cumsum(step) - 1]
+        new_sizes = np.where(active, size_at[j], sizes)
+        level = _merge_rows(active, filled, new_sizes, level, sizes)
+        sizes = new_sizes
+    return _unpack_rows(level, sizes, counts)

@@ -75,11 +75,20 @@ class DiffMS(Stage):
                 for i in indices:
                     out[i] = self.decode(payloads[i])
                 continue
-            coded = stack_rows(payloads, indices, length).view(
+            words = stack_rows(payloads, indices, length).view(
                 np.dtype(f"<u{self.word_bits // 8}")
             )
-            diff = zigzag_decode(coded, self.word_bits)
-            words = np.cumsum(diff, axis=1, dtype=diff.dtype)
+            # Decode in place, about 64 K words at a time, so the
+            # temporaries stay cache-sized instead of block-sized.
+            one = words.dtype.type(1)
+            step = max(1, (1 << 16) // words.shape[1])
+            for lo in range(0, len(words), step):
+                rows = words[lo : lo + step]
+                sign = rows & one
+                np.negative(sign, out=sign)  # -(ms & 1): all ones or zero
+                np.right_shift(rows, one, out=rows)
+                np.bitwise_xor(rows, sign, out=rows)
+                np.cumsum(rows, axis=1, dtype=rows.dtype, out=rows)
             blob = words.tobytes()
             for row, i in enumerate(indices):
                 out[i] = blob[row * length : (row + 1) * length]

@@ -102,21 +102,22 @@ def _resolve_chains(dist: np.ndarray, damaged: np.ndarray | None = None) -> np.n
 
     ``dist`` holds in-range backward distances (0 = own root).  When
     ``damaged`` is given it is OR-ed along the chains in place, so a
-    position ends up damaged if anything on its chain was.  Two buffers
-    alternate roles, so no sweep allocates.
+    position ends up damaged if anything on its chain was.  Each sweep
+    runs only over the positions whose parent is not yet a root: a
+    position leaves once its parent is one, after taking the root's
+    damage, so the work shrinks as the chains resolve.
     """
     parent = np.arange(len(dist), dtype=np.int64)
     parent -= dist
-    scratch = np.empty_like(parent)
-    taint = None if damaged is None else np.empty_like(damaged)
-    while True:
+    live = np.flatnonzero(dist)
+    while len(live):
+        up = parent[live]
         if damaged is not None:
-            np.take(damaged, parent, out=taint)
-            damaged |= taint
-        np.take(parent, parent, out=scratch)
-        if np.array_equal(scratch, parent):
-            return parent
-        parent, scratch = scratch, parent
+            damaged[live] |= damaged[up]
+        upper = parent[up]
+        parent[live] = upper
+        live = live[upper != up]
+    return parent
 
 
 class FCMStage(Stage):

@@ -24,19 +24,22 @@ from repro.bitpack import (
     words_to_bytes,
 )
 from repro.errors import CorruptDataError
-from repro.stages import ByteLike, Stage
-from repro.stages._adaptive import choose_k, choose_k_rows
-from repro.stages._batch import length_groups, split_rows, stack_rows
-from repro.stages._bitmap import (
-    compress_bitmap,
-    compress_bitmap_batch,
-    decompress_bitmap,
-    decompress_bitmap_batch,
+from repro.stages import ByteLike
+from repro.stages._adaptive import (
+    SplitStage,
+    choose_k,
+    choose_k_rows,
+    decode_split_rows,
+    encode_split_rows,
+    raw_rows,
+    read_split_row,
 )
+from repro.stages._batch import bounds
+from repro.stages._bitmap import compress_bitmap, decompress_bitmap
 from repro.stages._frame import Reader, Writer
 
 
-class RARE(Stage):
+class RARE(SplitStage):
     """Adaptive top-``k`` repetition elimination at 32- or 64-bit grain."""
 
     name = "rare"
@@ -103,145 +106,41 @@ class RARE(Stage):
         return words_to_bytes(words, tail)
 
     # -- batched execution ------------------------------------------------
+    # Plan keys are the splits ``k``.
 
-    def encode_batch(self, chunks: list) -> list[bytes]:
-        out: list[bytes | None] = [None] * len(chunks)
+    def _plan_rows(self, words: np.ndarray, counts: np.ndarray):
         wb = self.word_bits
-        word_bytes = wb // 8
-        for length, indices in length_groups(chunks).items():
-            n = length // word_bytes
-            if len(indices) < 2 or length == 0 or length % word_bytes:
-                for i in indices:
-                    out[i] = self.encode(chunks[i])
-                continue
-            words2d = stack_rows(chunks, indices, length).view(
-                np.dtype(f"<u{word_bytes}")
-            )
-            prev2d = np.empty_like(words2d)
-            prev2d[:, 0] = 0
-            prev2d[:, 1:] = words2d[:, :-1]
-            common2d = count_leading_zeros(words2d ^ prev2d, wb)
-            k_rows, _ = choose_k_rows(common2d, n, wb)
-            prefix = struct.pack("<IB", n, 0)
-            for k in np.unique(k_rows):
-                members = np.flatnonzero(k_rows == k)
-                self._encode_rows(
-                    words2d, common2d, members, n, int(k), prefix, out, indices
-                )
-        return out
+        # Leading bits shared with the prior value, which is 0 at each row start.
+        change = np.empty_like(words)
+        np.bitwise_xor(words[1:], words[:-1], out=change[1:])
+        starts = bounds(counts)[:-1][counts > 0]
+        change[starts] = words[starts]
+        common = count_leading_zeros(change, wb)
+        return choose_k_rows(common, counts, wb)[0], common
 
-    def _encode_rows(
-        self,
-        words2d: np.ndarray,
-        common2d: np.ndarray,
-        members: np.ndarray,
-        n: int,
-        k: int,
-        prefix: bytes,
-        out: list,
-        indices: list[int],
-    ) -> None:
+    def _encode_rows(self, keys, words, common, counts) -> list[tuple]:
+        split = int(np.searchsorted(keys, 1))
+        at = int(counts[:split].sum())
+        out = [(b"\0", row) for row in raw_rows(words[:at], counts[:split])]
+        ks = keys[split:]
+        rows = encode_split_rows(words[at:], common[at:], counts[split:], ks, self.word_bits)
+        return out + [(struct.pack("<B", k), *row) for k, row in zip(ks.tolist(), rows)]
+
+    def _parse_body(self, buf, pos: int, n: int):
         wb = self.word_bits
-        header = prefix + struct.pack("<B", k)
+        k = buf[pos]
+        if k > wb:
+            raise CorruptDataError(f"RARE split {k} exceeds word size")
         if k == 0:
-            for r in members:
-                out[indices[r]] = header + words2d[r].tobytes()
-            return
-        sub = words2d[members]
-        kept2d = np.asarray(common2d[members]) < k
-        counts = kept2d.sum(axis=1)
-        tops = split_rows((sub >> (wb - k))[kept2d], counts)
-        if k == wb:
-            bottoms = [b""] * len(members)
-        else:
-            bottoms2d = sub & sub.dtype.type((1 << (wb - k)) - 1)
-            row_bits = n * (wb - k)
-            if row_bits % 8 == 0:
-                blob = pack_words(bottoms2d.reshape(-1), wb - k, wb)
-                size = row_bits // 8
-                bottoms = [blob[r * size : (r + 1) * size] for r in range(len(members))]
-            else:
-                bottoms = [pack_words(row, wb - k, wb) for row in bottoms2d]
-        bitmaps = compress_bitmap_batch(kept2d)
-        for row, r in enumerate(members):
-            out[indices[r]] = b"".join(
-                (
-                    header,
-                    struct.pack("<I", int(counts[row])),
-                    bitmaps[row],
-                    pack_words(tops[row], k, wb),
-                    bottoms[row],
-                )
-            )
+            end = pos + 1 + n * wb // 8
+            return 0, buf[pos + 1 : end], end
+        return (k, *read_split_row(buf, pos + 1, n, k, wb))
 
-    def decode_batch(self, payloads: list) -> list[bytes]:
-        out: list[bytes | None] = [None] * len(payloads)
-        wb = self.word_bits
-        word_bytes = wb // 8
-        groups: dict[tuple[int, int], list[tuple[int, Reader]]] = {}
-        serial: list[int] = []
-        for i, payload in enumerate(payloads):
-            reader = Reader(payload)
-            n = reader.u32()
-            tail_len = reader.u8()
-            if tail_len or n == 0 or reader.remaining < 1:
-                serial.append(i)
-                continue
-            k = reader.u8()
-            if 1 <= k <= wb:
-                groups.setdefault((n, k), []).append((i, reader))
-            else:
-                serial.append(i)
-        for (n, k), members in groups.items():
-            if len(members) < 2:
-                serial.extend(i for i, _ in members)
-                continue
-            readers = [reader for _, reader in members]
-            words2d = self._decode_rows(readers, n, k)
-            blob = words2d.tobytes()
-            size = n * word_bytes
-            for row, (i, _) in enumerate(members):
-                out[i] = blob[row * size : (row + 1) * size]
-        for i in serial:
-            out[i] = self.decode(payloads[i])
+    def _decode_rows(self, keys, pieces, counts) -> np.ndarray:
+        split = int(np.searchsorted(keys, 1))
+        at = int(counts[:split].sum())
+        out = np.empty(int(counts.sum()), dtype=f"<u{self.word_bits // 8}")
+        out[:at] = np.frombuffer(b"".join(pieces[:split]), dtype=out.dtype)
+        decode_split_rows(pieces[split:], counts[split:], keys[split:], self.word_bits,
+                          repeat=True, out=out[at:])
         return out
-
-    def _decode_rows(self, readers: list[Reader], n: int, k: int) -> np.ndarray:
-        wb = self.word_bits
-        dtype = np.dtype(f"<u{wb // 8}")
-        n_kept = np.array([reader.u32() for reader in readers], dtype=np.int64)
-        kept2d = decompress_bitmap_batch(readers, n)
-        if np.any(kept2d.sum(axis=1) != n_kept):
-            raise CorruptDataError("RARE bitmap population mismatch")
-        tops_rows = [
-            unpack_words(reader.raw(packed_size_bytes(int(c), k)), int(c), k, wb)
-            for reader, c in zip(readers, n_kept)
-        ]
-        bottom_size = packed_size_bytes(n, wb - k)
-        row_bits = n * (wb - k)
-        if row_bits % 8 == 0:
-            raw = b"".join(reader.raw(bottom_size) for reader in readers)
-            bottoms2d = unpack_words(raw, len(readers) * n, wb - k, wb)
-            bottoms2d = bottoms2d.reshape(len(readers), n)
-        else:
-            bottoms2d = np.stack(
-                [
-                    unpack_words(reader.raw(bottom_size), n, wb - k, wb)
-                    for reader in readers
-                ]
-            )
-        for reader in readers:
-            reader.expect_exhausted()
-        # Vectorised forward-fill: per-row running count of kept pieces
-        # indexes into that row's slice of the concatenated tops.
-        counts2d = np.cumsum(kept2d, axis=1)
-        offsets = np.zeros(len(readers), dtype=np.int64)
-        np.cumsum(n_kept[:-1], out=offsets[1:])
-        tops_flat = (
-            np.concatenate(tops_rows) if tops_rows else np.zeros(0, dtype=dtype)
-        )
-        tops_full = np.zeros((len(readers), n), dtype=dtype)
-        has_prior = counts2d > 0
-        idx = counts2d - 1 + offsets[:, None]
-        tops_full[has_prior] = tops_flat[idx[has_prior]]
-        return (tops_full << (wb - k)) | bottoms2d

@@ -41,14 +41,24 @@ from repro.bitpack import (
     words_to_bytes,
 )
 from repro.errors import CorruptDataError
-from repro.stages import ByteLike, Stage
-from repro.stages._adaptive import choose_k, choose_k_rows, eliminated_counts
-from repro.stages._batch import length_groups, split_rows, stack_rows
+from repro.stages import ByteLike
+from repro.stages._adaptive import (
+    SplitStage,
+    choose_k,
+    choose_k_rows,
+    decode_split_rows,
+    eliminated_counts,
+    encode_split_rows,
+    raw_rows,
+    read_split_row,
+)
+from repro.stages._batch import bounds, row_sums, runs
 from repro.stages._bitmap import (
     compress_bitmap,
-    compress_bitmap_batch,
+    compress_bitmap_rows,
     decompress_bitmap,
-    decompress_bitmap_batch,
+    decompress_bitmap_rows,
+    read_bitmap,
 )
 from repro.stages._frame import Reader, Writer
 
@@ -56,7 +66,7 @@ MODE_BIT_K = 0
 MODE_BYTE_K = 1
 
 
-class RAZE(Stage):
+class RAZE(SplitStage):
     """Adaptive top-``k`` zero elimination at 32- or 64-bit granularity."""
 
     name = "raze"
@@ -208,222 +218,128 @@ class RAZE(Stage):
         return be.astype(np.dtype(f"<u{word_bytes}"))
 
     # -- batched execution ------------------------------------------------
+    # Plan keys: a bit-mode split is its ``k`` (0..w), a byte-mode split
+    # of ``kb`` top bytes is ``w + kb``.
 
-    def encode_batch(self, chunks: list) -> list[bytes]:
-        out: list[bytes | None] = [None] * len(chunks)
-        word_bytes = self.word_bits // 8
-        for length, indices in length_groups(chunks).items():
-            if len(indices) < 2 or length == 0 or length % word_bytes:
-                for i in indices:
-                    out[i] = self.encode(chunks[i])
-                continue
-            words2d = stack_rows(chunks, indices, length).view(
-                np.dtype(f"<u{word_bytes}")
-            )
-            for row, payload in enumerate(
-                self._encode_rows(words2d, length // word_bytes)
-            ):
-                out[indices[row]] = payload
-        return out
-
-    def _encode_rows(self, words2d: np.ndarray, n: int) -> list[bytes]:
-        """Plan every row with the 2D histogram kernels, then emit rows
-        grouped by their chosen ``(mode, k)`` so the pack/bitmap kernels
-        run once per distinct plan instead of once per chunk."""
+    def _plan_rows(self, words: np.ndarray, counts: np.ndarray):
         wb = self.word_bits
-        word_bytes = wb // 8
-        n_chunks = len(words2d)
-        leading2d = count_leading_zeros(words2d, wb)
-        bit_k, bit_cost = choose_k_rows(leading2d, n, wb)
-        be = words2d.astype(words2d.dtype.newbyteorder(">"), copy=False)
-        rows3d = be.view(np.uint8).reshape(n_chunks, n, word_bytes)
-        zeros_cum = np.cumsum((rows3d == 0).sum(axis=1, dtype=np.int64), axis=1)
-        kbs = np.arange(1, word_bytes + 1, dtype=np.int64)
+        leading = count_leading_zeros(words, wb)
+        bit_k, bit_cost = choose_k_rows(leading, counts, wb)
+        byte_k, byte_cost = self._plan_byte_rows(words, counts)
+        return np.where(byte_cost < bit_cost, wb + byte_k, bit_k), leading
+
+    def _plan_byte_rows(self, words: np.ndarray, counts: np.ndarray):
+        """Per-row :meth:`_plan_byte_mode`: ``(kb, cost)`` arrays."""
+        wb = self.word_bits
+        n = counts[:, None]
+        kbs = np.arange(1, wb // 8 + 1, dtype=np.int64)
         top_bytes = n * kbs
-        byte_costs = top_bytes + (top_bytes - zeros_cum) * 8 + n * (wb - kbs * 8)
-        cost_disabled = np.int64(n) * wb
-        mins = byte_costs.min(axis=1)
-        enabled = mins < cost_disabled
-        byte_k = np.where(enabled, np.argmin(byte_costs, axis=1) + 1, 0)
-        byte_cost = np.where(enabled, mins, cost_disabled)
-        use_byte = byte_cost < bit_cost
-        prefix = struct.pack("<IB", n, 0)
-        payloads: list[bytes | None] = [None] * n_chunks
-        for k in np.unique(bit_k[~use_byte]):
-            members = np.flatnonzero(~use_byte & (bit_k == k))
-            self._encode_bit_rows(
-                words2d, leading2d, members, n, int(k), prefix, payloads
-            )
-        for kb in np.unique(byte_k[use_byte]):
-            members = np.flatnonzero(use_byte & (byte_k == kb))
-            self._encode_byte_rows(rows3d, members, n, int(kb), prefix, payloads)
-        return payloads
+        zeros = np.cumsum(_zero_planes(words, counts), axis=1)
+        costs = top_bytes + (top_bytes - zeros) * 8 + n * (wb - kbs * 8)
+        best = np.argmin(costs, axis=1)
+        cost = costs[np.arange(len(counts)), best]
+        enabled = cost < counts * wb
+        return np.where(enabled, best + 1, 0), np.where(enabled, cost, counts * wb)
 
-    def _encode_bit_rows(
-        self,
-        words2d: np.ndarray,
-        leading2d: np.ndarray,
-        members: np.ndarray,
-        n: int,
-        k: int,
-        prefix: bytes,
-        payloads: list,
-    ) -> None:
+    def _encode_rows(self, keys, words, leading, counts) -> list[tuple]:
         wb = self.word_bits
-        mode = struct.pack("<BB", MODE_BIT_K, k)
-        if k == 0:
-            for r in members:
-                payloads[r] = prefix + mode + words2d[r].tobytes()
-            return
-        sub = words2d[members]
-        kept2d = np.asarray(leading2d[members]) < k
-        counts = kept2d.sum(axis=1)
-        tops = split_rows((sub >> (wb - k))[kept2d], counts)
-        if k == wb:
-            bottoms = [b""] * len(members)
-        else:
-            bottoms2d = sub & sub.dtype.type((1 << (wb - k)) - 1)
-            row_bits = n * (wb - k)
-            if row_bits % 8 == 0:
-                blob = pack_words(bottoms2d.reshape(-1), wb - k, wb)
-                size = row_bits // 8
-                bottoms = [blob[r * size : (r + 1) * size] for r in range(len(members))]
-            else:
-                bottoms = [pack_words(row, wb - k, wb) for row in bottoms2d]
-        bitmaps = compress_bitmap_batch(kept2d)
-        for row, r in enumerate(members):
-            payloads[r] = b"".join(
-                (
-                    prefix,
-                    mode,
-                    struct.pack("<I", int(counts[row])),
-                    bitmaps[row],
-                    pack_words(tops[row], k, wb),
-                    bottoms[row],
-                )
-            )
+        split, byte = np.searchsorted(keys, [1, wb + 1]).tolist()
+        at = bounds(counts)
+        raw = struct.pack("<BB", MODE_BIT_K, 0)
+        out = [(raw, row) for row in raw_rows(words[: at[split]], counts[:split])]
+        ks = keys[split:byte]
+        rows = encode_split_rows(words[at[split] : at[byte]], leading[at[split] : at[byte]],
+                                 counts[split:byte], ks, wb)
+        out += [(struct.pack("<BB", MODE_BIT_K, k), *row) for k, row in zip(ks.tolist(), rows)]
+        return out + self._encode_byte_rows(words[at[byte] :], counts[byte:], keys[byte:] - wb)
 
-    def _encode_byte_rows(
-        self,
-        rows3d: np.ndarray,
-        members: np.ndarray,
-        n: int,
-        kb: int,
-        prefix: bytes,
-        payloads: list,
-    ) -> None:
+    def _encode_byte_rows(self, words, counts, kbs) -> list[tuple]:
+        """Byte-granular split of ragged rows, row ``r`` at ``kbs[r]`` top bytes."""
+        if not len(counts):
+            return []
         word_bytes = self.word_bits // 8
-        mode = struct.pack("<BB", MODE_BYTE_K, kb)
-        sub = rows3d[members]
-        top2d = sub[:, :, :kb].reshape(len(members), n * kb)
-        bottom2d = sub[:, :, kb:].reshape(len(members), n * (word_bytes - kb))
-        mask2d = top2d != 0
-        counts = mask2d.sum(axis=1)
-        nonzero = split_rows(top2d[mask2d], counts)
-        bitmaps = compress_bitmap_batch(mask2d)
-        for row, r in enumerate(members):
-            payloads[r] = b"".join(
-                (
-                    prefix,
-                    mode,
-                    struct.pack("<I", int(counts[row])),
-                    bitmaps[row],
-                    nonzero[row].tobytes(),
-                    bottom2d[row].tobytes(),
-                )
-            )
+        be = words.astype(words.dtype.newbyteorder(">")).view(np.uint8)
+        be = be.reshape(len(words), word_bytes)
+        at = bounds(counts).tolist()
+        top = np.concatenate([be[at[lo] : at[hi], :kb].reshape(-1) for kb, lo, hi in runs(kbs)])
+        bottom = memoryview(b"".join(be[at[lo] : at[hi], kb:].tobytes() for kb, lo, hi in runs(kbs)))
+        mask = top != 0
+        kept_counts = row_sums(mask, counts * kbs)
+        bitmaps = compress_bitmap_rows(mask, counts * kbs)
+        nonzero = memoryview(top[mask])
+        kept_at = bounds(kept_counts).tolist()
+        bottom_at = bounds(counts * (word_bytes - kbs)).tolist()
+        return [
+            (struct.pack("<BBI", MODE_BYTE_K, kb, kept_at[r + 1] - kept_at[r]), bitmaps[r],
+             nonzero[kept_at[r] : kept_at[r + 1]], bottom[bottom_at[r] : bottom_at[r + 1]])
+            for r, kb in enumerate(kbs.tolist())
+        ]
 
-    def decode_batch(self, payloads: list) -> list[bytes]:
-        out: list[bytes | None] = [None] * len(payloads)
+    def _parse_body(self, buf, pos: int, n: int):
+        wb = self.word_bits
+        mode, k = buf[pos], buf[pos + 1]
+        pos += 2
+        if mode == MODE_BIT_K and k <= wb:
+            if k == 0:
+                end = pos + n * wb // 8
+                return 0, buf[pos:end], end
+            return (k, *read_split_row(buf, pos, n, k, wb))
+        if mode == MODE_BYTE_K and 1 <= k <= wb // 8:
+            (n_kept,) = struct.unpack_from("<I", buf, pos)
+            bitmap, pos = read_bitmap(buf, pos + 4, n * k)
+            end = pos + n_kept + n * (wb // 8 - k)
+            pieces = (n_kept, bitmap, buf[pos : pos + n_kept], buf[pos + n_kept : end])
+            return wb + k, pieces, end
+        raise CorruptDataError(f"invalid RAZE mode {mode} with split {k}")
+
+    def _decode_rows(self, keys, pieces, counts) -> np.ndarray:
         wb = self.word_bits
         word_bytes = wb // 8
-        groups: dict[tuple[int, int, int], list[tuple[int, Reader]]] = {}
-        serial: list[int] = []
-        for i, payload in enumerate(payloads):
-            reader = Reader(payload)
-            n = reader.u32()
-            tail_len = reader.u8()
-            if tail_len or n == 0 or reader.remaining < 2:
-                serial.append(i)
-                continue
-            mode = reader.u8()
-            k = reader.u8()
-            if mode == MODE_BIT_K and 1 <= k <= wb:
-                groups.setdefault((n, mode, k), []).append((i, reader))
-            elif mode == MODE_BYTE_K and 1 <= k <= word_bytes:
-                groups.setdefault((n, mode, k), []).append((i, reader))
-            else:
-                serial.append(i)
-        for (n, mode, k), members in groups.items():
-            if len(members) < 2:
-                serial.extend(i for i, _ in members)
-                continue
-            readers = [reader for _, reader in members]
-            if mode == MODE_BIT_K:
-                words2d = self._decode_bit_rows(readers, n, k)
-            else:
-                words2d = self._decode_byte_rows(readers, n, k)
-            blob = words2d.tobytes()
-            size = n * word_bytes
-            for row, (i, _) in enumerate(members):
-                out[i] = blob[row * size : (row + 1) * size]
-        for i in serial:
-            out[i] = self.decode(payloads[i])
+        split, byte = np.searchsorted(keys, [1, wb + 1]).tolist()
+        at = bounds(counts).tolist()
+        out = np.empty(at[-1], dtype=f"<u{word_bytes}")
+        out[: at[split]] = np.frombuffer(b"".join(pieces[:split]), dtype=out.dtype)
+        decode_split_rows(pieces[split:byte], counts[split:byte], keys[split:byte], wb,
+                          repeat=False, out=out[at[split] : at[byte]])
+        rows, counts, kbs = pieces[byte:], counts[byte:], keys[byte:] - wb
+        n_kept = np.array([row[0] for row in rows], dtype=np.int64)
+        mask = decompress_bitmap_rows([row[1] for row in rows], counts * kbs)
+        if np.any(row_sums(mask, counts * kbs) != n_kept):
+            raise CorruptDataError("RAZE bitmap population mismatch")
+        top = np.zeros(len(mask), dtype=np.uint8)
+        top[mask] = np.frombuffer(b"".join(row[2] for row in rows), dtype=np.uint8)
+        bottom = np.frombuffer(b"".join(row[3] for row in rows), dtype=np.uint8)
+        be = np.empty((at[-1] - at[byte], word_bytes), dtype=np.uint8)
+        value_at = bounds(counts).tolist()
+        top_at, bottom_at = bounds(counts * kbs).tolist(), bounds(counts * (word_bytes - kbs)).tolist()
+        for kb, lo, hi in runs(kbs):
+            rows_be = be[value_at[lo] : value_at[hi]]
+            rows_be[:, :kb] = top[top_at[lo] : top_at[hi]].reshape(-1, kb)
+            rows_be[:, kb:] = bottom[bottom_at[lo] : bottom_at[hi]].reshape(len(rows_be), -1)
+        out[at[byte] :] = be.reshape(-1).view(f">u{word_bytes}")
         return out
 
-    def _decode_bit_rows(self, readers: list[Reader], n: int, k: int) -> np.ndarray:
-        wb = self.word_bits
-        dtype = np.dtype(f"<u{wb // 8}")
-        n_kept = np.array([reader.u32() for reader in readers], dtype=np.int64)
-        kept2d = decompress_bitmap_batch(readers, n)
-        if np.any(kept2d.sum(axis=1) != n_kept):
-            raise CorruptDataError("RAZE bitmap population mismatch")
-        tops_rows = [
-            unpack_words(reader.raw(packed_size_bytes(int(c), k)), int(c), k, wb)
-            for reader, c in zip(readers, n_kept)
-        ]
-        bottom_size = packed_size_bytes(n, wb - k)
-        row_bits = n * (wb - k)
-        if row_bits % 8 == 0:
-            raw = b"".join(reader.raw(bottom_size) for reader in readers)
-            bottoms2d = unpack_words(raw, len(readers) * n, wb - k, wb)
-            bottoms2d = bottoms2d.reshape(len(readers), n)
-        else:
-            bottoms2d = np.stack(
-                [
-                    unpack_words(reader.raw(bottom_size), n, wb - k, wb)
-                    for reader in readers
-                ]
-            )
-        for reader in readers:
-            reader.expect_exhausted()
-        tops_full = np.zeros((len(readers), n), dtype=dtype)
-        tops_full[kept2d] = np.concatenate(tops_rows)
-        return (tops_full << (wb - k)) | bottoms2d
 
-    def _decode_byte_rows(self, readers: list[Reader], n: int, kb: int) -> np.ndarray:
-        word_bytes = self.word_bits // 8
-        n_rows = len(readers)
-        n_kept = np.array([reader.u32() for reader in readers], dtype=np.int64)
-        mask2d = decompress_bitmap_batch(readers, n * kb)
-        if np.any(mask2d.sum(axis=1) != n_kept):
-            raise CorruptDataError("RAZE bitmap population mismatch")
-        nonzero_rows = [
-            np.frombuffer(reader.raw(int(c)), dtype=np.uint8)
-            for reader, c in zip(readers, n_kept)
-        ]
-        bottom2d = np.stack(
-            [
-                np.frombuffer(reader.raw(n * (word_bytes - kb)), dtype=np.uint8)
-                for reader in readers
-            ]
-        )
-        for reader in readers:
-            reader.expect_exhausted()
-        top2d = np.zeros((n_rows, n * kb), dtype=np.uint8)
-        top2d[mask2d] = np.concatenate(nonzero_rows)
-        rows = np.empty((n_rows, n, word_bytes), dtype=np.uint8)
-        rows[:, :, :kb] = top2d.reshape(n_rows, n, kb)
-        rows[:, :, kb:] = bottom2d.reshape(n_rows, n, word_bytes - kb)
-        be = rows.reshape(n_rows, n * word_bytes).view(np.dtype(f">u{word_bytes}"))
-        return be.astype(np.dtype(f"<u{word_bytes}"))
+def _zero_planes(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per row, how many of its words have a zero byte at each big-endian
+    byte position (column 0 is the most significant byte)."""
+    word_bytes = words.dtype.itemsize
+    out = np.zeros((len(counts), word_bytes), dtype=np.int64)
+    live = counts > 0
+    if not live.any():
+        return out
+    starts = bounds(counts)[:-1][live]
+    zeros = words.view(np.uint8) == 0
+    if counts.max() >= 1 << 16:
+        out[live] = np.add.reduceat(zeros.reshape(-1, word_bytes), starts, axis=0, dtype=np.int64)
+        return out[:, ::-1]
+    # Sum the 0/1 flags as 16-bit lanes of two masked word sums, one over
+    # the even and one over the odd bytes: under 2**16 words a row, no lane
+    # carries into the next.
+    flags, dt = zeros.view(words.dtype), words.dtype.type
+    mask = dt(0x00FF00FF00FF00FF & ((1 << 8 * word_bytes) - 1))
+    for odd in (0, 1):
+        sums = np.add.reduceat((flags >> dt(8 * odd)) & mask, starts)
+        for lane in range(word_bytes // 2):
+            out[live, 2 * lane + odd] = (sums >> dt(16 * lane)) & dt(0xFFFF)
+    return out[:, ::-1]

@@ -17,15 +17,20 @@ import numpy as np
 
 from repro.errors import CorruptDataError
 from repro.stages import ByteLike, Stage
-from repro.stages._batch import length_groups, split_rows, stack_rows
+from repro.stages import _batch
+from repro.stages._batch import bounds, row_sums, slices
 from repro.stages._bitmap import (
     MAX_LEVELS,
     compress_bitmap,
-    compress_bitmap_batch,
+    compress_bitmap_rows,
     decompress_bitmap,
-    decompress_bitmap_batch,
+    decompress_bitmap_rows,
+    read_bitmap,
 )
 from repro.stages._frame import Reader, Writer
+
+_HEAD = struct.Struct("<II")
+_PAD = bytes(8)
 
 
 class RZE(Stage):
@@ -64,55 +69,51 @@ class RZE(Stage):
     # -- batched execution ------------------------------------------------
 
     def encode_batch(self, chunks: list) -> list[bytes]:
-        out: list[bytes | None] = [None] * len(chunks)
-        for length, indices in length_groups(chunks).items():
-            if len(indices) < 2 or length == 0:
-                for i in indices:
-                    out[i] = self.encode(chunks[i])
+        out: list[bytes] = []
+        for lo, hi in slices([len(chunk) for chunk in chunks]):
+            if hi - lo < _batch.MIN_BATCH_ROWS:
+                out += [self.encode(chunk) for chunk in chunks[lo:hi]]
                 continue
-            rows = stack_rows(chunks, indices, length)
-            mask2d = rows != 0
-            counts = mask2d.sum(axis=1)
-            nonzero = split_rows(rows[mask2d], counts)
-            bitmaps = compress_bitmap_batch(mask2d, self.bitmap_levels)
-            for row, i in enumerate(indices):
-                out[i] = b"".join(
-                    (
-                        struct.pack("<II", length, int(counts[row])),
-                        nonzero[row].tobytes(),
-                        bitmaps[row],
-                    )
-                )
+            # Rows zero-padded to whole bitmap bytes: a zero byte adds
+            # nothing to the nonzero bytes or the bitmap's bytes.
+            rows = [memoryview(chunk).cast("B") for chunk in chunks[lo:hi]]
+            pieces = (piece for row in rows for piece in (row, _PAD[: -len(row) & 7]))
+            data = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+            lengths = [len(row) for row in rows]
+            padded = (np.array(lengths, dtype=np.int64) + 7) & ~7
+            mask = data != 0
+            at = bounds(row_sums(mask, padded)).tolist()
+            nonzero = memoryview(data[mask])
+            bitmaps = compress_bitmap_rows(mask, padded, self.bitmap_levels)
+            for r, n in enumerate(lengths):
+                head = _HEAD.pack(n, at[r + 1] - at[r])
+                out.append(b"".join((head, nonzero[at[r] : at[r + 1]], bitmaps[r])))
         return out
 
     def decode_batch(self, payloads: list) -> list[bytes]:
-        # RZE payloads vary in length (the nonzero count differs per
-        # chunk), so batching groups on the *decoded* length ``n`` instead:
-        # the bitmap decompressor only needs a shared bit count.
-        out: list[bytes | None] = [None] * len(payloads)
-        parsed: dict[int, list[tuple[int, int, np.ndarray, Reader]]] = {}
-        for i, payload in enumerate(payloads):
-            reader = Reader(payload)
-            n = reader.u32()
-            n_nonzero = reader.u32()
-            nonzero = np.frombuffer(reader.raw(n_nonzero), dtype=np.uint8)
-            parsed.setdefault(n, []).append((i, n_nonzero, nonzero, reader))
-        for n, members in parsed.items():
-            if len(members) < 2:
-                for i, _, _, _ in members:
-                    out[i] = self.decode(payloads[i])
+        out: list[bytes] = []
+        for lo, hi in slices([_HEAD.unpack_from(payload)[0] for payload in payloads]):
+            if hi - lo < _batch.MIN_BATCH_ROWS:
+                out += [self.decode(payload) for payload in payloads[lo:hi]]
                 continue
-            readers = [reader for _, _, _, reader in members]
-            mask2d = decompress_bitmap_batch(readers, n)
-            for reader in readers:
-                reader.expect_exhausted()
-            populations = mask2d.sum(axis=1)
-            expected = np.array([m[1] for m in members], dtype=np.int64)
-            if np.any(populations != expected):
+            lengths = np.zeros(hi - lo, dtype=np.int64)
+            nonzero, bitmaps = [], []
+            for r, payload in enumerate(payloads[lo:hi]):
+                buf = memoryview(payload)
+                n, n_nonzero = _HEAD.unpack_from(buf)
+                bitmap, end = read_bitmap(buf, 8 + n_nonzero, n)
+                if end != len(buf):
+                    raise CorruptDataError("RZE payload length does not match its header")
+                lengths[r] = n
+                nonzero.append(buf[8 : 8 + n_nonzero])
+                bitmaps.append(bitmap)
+            mask = decompress_bitmap_rows(bitmaps, lengths)
+            populations = np.array([len(piece) for piece in nonzero], dtype=np.int64)
+            if np.any(row_sums(mask, lengths) != populations):
                 raise CorruptDataError("RZE bitmap population mismatch")
-            grid = np.zeros((len(members), n), dtype=np.uint8)
-            grid[mask2d] = np.concatenate([m[2] for m in members])
-            blob = grid.tobytes()
-            for row, (i, _, _, _) in enumerate(members):
-                out[i] = blob[row * n : (row + 1) * n]
+            data = np.zeros(len(mask), dtype=np.uint8)
+            data[mask] = np.frombuffer(b"".join(nonzero), dtype=np.uint8)
+            blob = data.tobytes()
+            at = bounds(lengths).tolist()
+            out += [blob[a:b] for a, b in zip(at[:-1], at[1:])]
         return out

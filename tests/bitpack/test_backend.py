@@ -135,15 +135,19 @@ class TestPackParity:
         a = ref["eliminated_counts_rows"](lead, word_bits)
         b = alt["eliminated_counts_rows"](lead, word_bits)
         assert np.array_equal(a, b)
-        for n in (0, 40):
-            ka, ca = ref["choose_k_rows"](lead, n, word_bits)
-            kb, cb = alt["choose_k_rows"](lead, n, word_bits)
-            assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
-        # all-zero leading counts => split disabled everywhere
-        flat = np.zeros((3, 16), dtype=np.int64)
-        ka, ca = ref["choose_k_rows"](flat, 16, word_bits)
-        kb, cb = alt["choose_k_rows"](flat, 16, word_bits)
+        # Ragged rows, empty ones included: one flat array plus row counts.
+        counts = np.array([40, 0, 7, 40, 1, 0, 33], dtype=np.int64)
+        flat = rng.integers(0, word_bits + 1, int(counts.sum())).astype(np.uint8)
+        ka, ca = ref["choose_k_rows"](flat, counts, word_bits)
+        kb, cb = alt["choose_k_rows"](flat, counts, word_bits)
         assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
+        assert ka[1] == ka[5] == 0 and ca[1] == ca[5] == 0
+        # all-zero leading counts => split disabled everywhere
+        zeros = np.zeros(48, dtype=np.uint8)
+        ka, ca = ref["choose_k_rows"](zeros, np.full(3, 16), word_bits)
+        kb, cb = alt["choose_k_rows"](zeros, np.full(3, 16), word_bits)
+        assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
+        assert not ka.any()
 
 
 @pytest.mark.parametrize("backend", ALT_BACKENDS)

@@ -142,7 +142,8 @@ class TestProxyPassThrough:
                     assert getattr(info.value, "transport", False)
                 # New connections die immediately while killed.
                 with pytest.raises(ReproError):
-                    ServiceClient(port=proxy.port, timeout=2.0).ping()
+                    with ServiceClient(port=proxy.port, timeout=2.0) as dead:
+                        dead.ping()
                 proxy.revive()
                 with ServiceClient(port=proxy.port) as client:
                     blob = client.compress(data, "spspeed")

@@ -57,6 +57,12 @@ def _wait_admitted(srv) -> None:
     _wait_until(lambda: gauge.value >= 1, "a job to be admitted")
 
 
+def _compress_once(port: int, data):
+    """One compress on a client of its own, closed afterwards."""
+    with ServiceClient(port=port) as client:
+        return client.compress(data)
+
+
 def _begin_stop(srv) -> threading.Thread:
     """Start a graceful stop on another thread; return once draining begins."""
     stopper = threading.Thread(target=srv.stop)
@@ -277,7 +283,7 @@ class TestBusyHint:
         data = _walk(rng, 1_000, np.float32)
         with ServerThread(config) as srv:
             worker = threading.Thread(
-                target=lambda: ServiceClient(port=srv.port).compress(data)
+                target=lambda: _compress_once(srv.port, data)
             )
             worker.start()
             _wait_admitted(srv)
@@ -399,7 +405,7 @@ class TestGracefulDrain:
         with ServerThread(config) as srv:
             with ServiceClient(port=srv.port) as bystander:
                 worker = threading.Thread(
-                    target=lambda: ServiceClient(port=srv.port).compress(data)
+                    target=lambda: _compress_once(srv.port, data)
                 )
                 worker.start()
                 _wait_admitted(srv)
