@@ -73,7 +73,6 @@ def compress(
     executor: str | Executor | None = None,
     trace: TraceCollector | None = None,
     fcm: str = "global",
-    selector: str | None = None,
 ) -> bytes:
     """Losslessly compress a float array (or raw bytes) into one container.
 
@@ -84,10 +83,9 @@ def compress(
         bytes require an explicit ``codec``.
     codec:
         Codec name (``"spspeed"``, ``"spratio"``, ``"dpspeed"``,
-        ``"dpratio"``), or ``"auto"`` to probe every chunk and route it
-        to the best fixed codec for its statistics (container v4 with a
-        per-chunk codec table).  When omitted, the codec is picked from
-        the array dtype and ``mode``.
+        ``"dpratio"``).  When omitted, the codec is picked from the array
+        dtype and ``mode``: SPratio for float32 and DPratio for float64
+        by default, the paper's one pipeline per precision and goal.
     mode:
         ``"ratio"`` (default) or ``"speed"``; ignored when ``codec`` is
         given.
@@ -128,15 +126,7 @@ def compress(
         DPratio under every executor policy.  The price is that matches
         cannot reach past one chunk: ~1-2% ratio on smooth fields, much
         more when repeats sit further back than ``chunk_size``
-        (measured numbers in ALGORITHMS.md).  Ignored by ``codec="auto"``
-        — member codecs with an FCM stage always run it restart-framed
-        so every chunk stays independently decodable.
-    selector:
-        Decision policy for ``codec="auto"`` (ignored otherwise):
-        ``"heuristic"`` (default, calibrated bias constants),
-        ``"trained"`` (thresholds fitted offline by
-        ``scripts/fit_selector.py``), or a path to a compatible
-        thresholds ``.json`` file.
+        (measured numbers in ALGORITHMS.md).
 
     Returns
     -------
@@ -154,7 +144,7 @@ def compress(
     return compress_bytes(
         raw, chosen, chunk_size=chunk_size, dtype_code=dtype_code, shape=shape,
         workers=workers, checksum=checksum, chunk_checksums=chunk_checksums,
-        executor=executor, trace=trace, fcm=fcm, selector=selector,
+        executor=executor, trace=trace, fcm=fcm,
     )
 
 
@@ -277,8 +267,8 @@ def inspect(blob: bytes) -> fmt.ContainerInfo:
 
 
 def available_codecs() -> list[str]:
-    """Names of the registered codecs (fixed paper codecs plus ``auto``)."""
-    return sorted([*codec_registry.CODECS, codec_registry.AUTO.name])
+    """Names of the registered codecs (the paper's four fixed pipelines)."""
+    return sorted(codec_registry.CODECS)
 
 
 def connect(host: str = "127.0.0.1", port: int | None = None, *,

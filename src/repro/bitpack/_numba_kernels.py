@@ -222,17 +222,6 @@ def _untranspose_loop(raw, count, word_bytes, out):
                 out[base + r] |= byte << col
 
 
-def _elim_rows_loop(leading, n_rows, n, word_bits, counts):
-    """Per-row histogram + suffix sum, in place over a zeroed grid."""
-    for r in range(n_rows):
-        for i in range(n):
-            counts[r, leading[r, i]] += 1
-        total = 0
-        for k in range(word_bits, -1, -1):
-            total += counts[r, k]
-            counts[r, k] = total
-
-
 def _choose_k_rows_loop(leading, counts, word_bits, hist, k_out, cost_out):
     """Per-row histogram, suffix sum and closed-form cost argmin over
     ragged rows (first minimum, like np.argmin); ``hist`` is scratch."""
@@ -281,7 +270,6 @@ def _make_kernels(jit):
     lcb_loop = jit(_lcb_loop)
     transpose_loop = jit(_transpose_loop)
     untranspose_loop = jit(_untranspose_loop)
-    elim_rows_loop = jit(_elim_rows_loop)
     choose_k_rows_loop = jit(_choose_k_rows_loop)
 
     def pack_lanes(words: np.ndarray, width: int, word_bits: int) -> bytes:
@@ -372,16 +360,6 @@ def _make_kernels(jit):
         untranspose_loop(raw, count, word_bits // 8, out)
         return out.astype(dtype)
 
-    def eliminated_counts_rows(
-        leading2d: np.ndarray, word_bits: int
-    ) -> np.ndarray:
-        grid = np.ascontiguousarray(leading2d, dtype=np.uint8)
-        n_rows = len(grid)
-        counts = np.zeros((n_rows, word_bits + 1), dtype=np.int64)
-        if n_rows and grid.shape[1]:
-            elim_rows_loop(grid, n_rows, grid.shape[1], word_bits, counts)
-        return counts
-
     def choose_k_rows(
         leading: np.ndarray, counts: np.ndarray, word_bits: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +381,6 @@ def _make_kernels(jit):
         "leading_common_bits": leading_common_bits,
         "bit_transpose": bit_transpose,
         "bit_untranspose": bit_untranspose,
-        "eliminated_counts_rows": eliminated_counts_rows,
         "choose_k_rows": choose_k_rows,
     }
 

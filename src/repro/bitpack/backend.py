@@ -12,8 +12,7 @@ kernel                       contract
 ``leading_common_bits``      clz of ``word ^ previous`` (chunk-leading ``initial``)
 ``bit_transpose``            8x8 masked-swap bit-matrix transpose (BIT stage)
 ``bit_untranspose``          exact inverse
-``eliminated_counts_rows``   per-row suffix-summed leading-bit histogram
-``choose_k_rows``            per-row modelled-cost argmin over that histogram
+``choose_k_rows``            per-row leading-bit histogram, modelled-cost argmin
 ===========================  ====================================================
 
 A *backend* is one implementation set for (a subset of) those kernels.
@@ -65,7 +64,6 @@ KERNEL_NAMES = (
     "leading_common_bits",
     "bit_transpose",
     "bit_untranspose",
-    "eliminated_counts_rows",
     "choose_k_rows",
 )
 
@@ -122,7 +120,6 @@ def _numpy_kernels() -> dict:
         "leading_common_bits": _clz._leading_common_bits_numpy,
         "bit_transpose": _transpose._bit_transpose_numpy,
         "bit_untranspose": _transpose._bit_untranspose_numpy,
-        "eliminated_counts_rows": _adapt._eliminated_counts_rows_numpy,
         "choose_k_rows": _adapt._choose_k_rows_numpy,
     }
 

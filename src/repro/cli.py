@@ -55,13 +55,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     data = Path(args.input).read_bytes()
     if args.dtype != "bytes":
         array = np.frombuffer(data, dtype=np.dtype(args.dtype))
-        blob = repro.compress(array, args.codec, fcm=args.fcm,
-                              selector=args.selector)
+        blob = repro.compress(array, args.codec, fcm=args.fcm)
     else:
         if args.codec is None:
             raise ReproError("--codec is required for raw byte input")
-        blob = repro.compress(data, args.codec, fcm=args.fcm,
-                              selector=args.selector)
+        blob = repro.compress(data, args.codec, fcm=args.fcm)
     Path(args.output).write_bytes(blob)
     ratio = len(data) / len(blob) if blob else 0.0
     print(f"{args.input}: {len(data)} -> {len(blob)} bytes (ratio {ratio:.3f})")
@@ -173,11 +171,7 @@ def _cmd_concat(args: argparse.Namespace) -> int:
 
 
 def _bench_sample(codec_name: str, scale: float) -> bytes:
-    """A deterministic corpus sample matching the codec's dtype.
-
-    The adaptive ``auto`` codec gets the single-precision sample (the
-    larger suite); its selector probes route each chunk regardless.
-    """
+    """A deterministic corpus sample matching the codec's dtype."""
     from repro.datasets import dp_suite, sp_suite
 
     suite = dp_suite() if codec_name.startswith("dp") else sp_suite()
@@ -646,10 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--codec", default=None,
-                   help="spspeed | spratio | dpspeed | dpratio | auto "
-                        "(default: by dtype; auto probes each chunk and "
-                        "routes it to the best fixed codec, emitting a v4 "
-                        "mixed-codec container)")
+                   help="spspeed | spratio | dpspeed | dpratio "
+                        "(default: by dtype)")
     p.add_argument("--dtype", default="float32",
                    choices=["float32", "float64", "bytes"])
     p.add_argument("--fcm", default="global", choices=["global", "restart"],
@@ -657,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "best-ratio cross-chunk pass (v1/v2, default); "
                         "restart re-seeds per chunk (v3, seekable, "
                         "range-decodable, parallel)")
-    p.add_argument("--selector", default=None, metavar="POLICY",
-                   help="decision policy for --codec auto: 'heuristic' "
-                        "(default), 'trained' (thresholds fitted by "
-                        "scripts/fit_selector.py), or a path to a "
-                        "thresholds .json file")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="decompress an FPRZ container")

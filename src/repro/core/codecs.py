@@ -31,14 +31,10 @@ class Codec:
     codec_id: int
     dtype: np.dtype
     word_bits: int
-    mode: str  # "speed", "ratio", or "auto"
+    mode: str  # "speed", "ratio", or "mixed" (the v4 header id)
     description: str
     stage_factory: Callable[[], list[Stage]] = field(repr=False)
     global_stage_factory: Callable[[], Stage] | None = field(default=None, repr=False)
-    #: True for the ``auto`` codec: no pipeline of its own, the encode
-    #: path probes each chunk and routes it to a fixed member codec (the
-    #: container then carries a per-chunk codec table, format v4).
-    selector: bool = False
 
     def make_pipeline(self, fcm_restart: bool = False) -> Pipeline:
         """The per-chunk stage chain.
@@ -108,20 +104,19 @@ DPRATIO = Codec(
     global_stage_factory=FCMStage,
 )
 
-#: The adaptive selector: probes every chunk and routes it to the best
-#: fixed codec for its statistics (see :mod:`repro.selection`).  It owns
-#: no stages — the member pipelines do the work — so it lives *outside*
-#: :data:`CODECS` (which enumerates the paper's fixed pipelines) and is
-#: resolved by name/id through :func:`get_codec` / :func:`codec_by_id`.
-AUTO = Codec(
-    name="auto",
+#: The header id of a mixed-codec (v4) container, whose per-chunk codec
+#: table names the fixed codec behind every chunk.  It owns no stages and
+#: encodes nothing, so it lives *outside* :data:`CODECS` (which enumerates
+#: the paper's fixed pipelines): :func:`codec_by_id` answers it so old
+#: and concatenated v4 files decode, :func:`get_codec` does not.
+MIXED = Codec(
+    name="mixed",
     codec_id=5,
     dtype=np.dtype(np.void),
     word_bits=0,
-    mode="auto",
-    description="adaptive: probe each chunk, route to the best fixed codec",
+    mode="mixed",
+    description="v4 header id: the per-chunk codec table names each chunk's codec",
     stage_factory=lambda: [],
-    selector=True,
 )
 
 CODECS: dict[str, Codec] = {
@@ -129,53 +124,29 @@ CODECS: dict[str, Codec] = {
 }
 
 _BY_ID: dict[int, Codec] = {codec.codec_id: codec for codec in CODECS.values()}
-_BY_ID[AUTO.codec_id] = AUTO
+_BY_ID[MIXED.codec_id] = MIXED
 
 
 def get_codec(name: str) -> Codec:
-    """Look a codec up by name (case-insensitive, including ``auto``)."""
+    """Look a fixed codec up by name (case-insensitive)."""
     key = name.lower()
-    if key == AUTO.name:
-        return AUTO
     if key not in CODECS:
         raise UnknownCodecError(
-            f"unknown codec {name!r}; available: "
-            f"{', '.join(sorted([*CODECS, AUTO.name]))}"
+            f"unknown codec {name!r}; available: {', '.join(sorted(CODECS))}"
         )
     return CODECS[key]
 
 
 def codec_by_id(codec_id: int) -> Codec:
-    """Look a codec up by its container id (including the selector)."""
+    """Look a codec up by its container id (including the v4 header id)."""
     if codec_id not in _BY_ID:
         raise UnknownCodecError(f"unknown codec id {codec_id}")
     return _BY_ID[codec_id]
 
 
-def selector_codec() -> Codec:
-    """The ``auto`` selector codec (header codec of v4 containers)."""
-    return AUTO
-
-
 def fixed_codec_ids() -> frozenset[int]:
     """Registry ids legal in a v4 per-chunk codec table (fixed codecs only)."""
-    return frozenset(_BY_ID) - {AUTO.codec_id}
-
-
-def selection_candidates(dtype_code: int) -> tuple[Codec, ...]:
-    """The fixed codecs the selector may route a chunk to for a dtype.
-
-    Float containers choose between the paper's two same-width pipelines;
-    raw-byte containers may route to any of the four (word width is just
-    a transform granularity there).
-    """
-    from repro.core.container import DTYPE_F32, DTYPE_F64
-
-    if dtype_code == DTYPE_F32:
-        return (SPSPEED, SPRATIO)
-    if dtype_code == DTYPE_F64:
-        return (DPSPEED, DPRATIO)
-    return (SPSPEED, SPRATIO, DPSPEED, DPRATIO)
+    return frozenset(_BY_ID) - {MIXED.codec_id}
 
 
 def codec_for(dtype: np.dtype, mode: str = "ratio") -> Codec:

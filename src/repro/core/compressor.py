@@ -68,9 +68,9 @@ import time
 from repro.core import container as fmt
 from repro.core._procwork import FOREIGN_ERRORS, chunk_codec, decode_block, encode_block
 from repro.core.chunking import CHUNK_RAW, CHUNK_SIZE
-from repro.core.codecs import Codec, codec_by_id
+from repro.core.codecs import MIXED, Codec, codec_by_id
 from repro.core.executors import Executor, resolve_executor, static_block_bounds
-from repro.core.plan import EncodePlan, plan_decode, plan_encode, plan_for_range
+from repro.core.plan import plan_decode, plan_encode, plan_for_range
 from repro.core.salvage import ChunkFailure, SalvageReport, merge_ranges
 from repro.core.trace import BatchTrace, ChunkTrace, StageEvent, TraceCollector
 from repro.errors import BoundsError, ChecksumError, CorruptDataError, ReproError
@@ -135,7 +135,7 @@ def _blocks(plan, workers: int, batched: bool, info=None) -> list[tuple[int, int
 def _pipeline_resolver(codec: Codec, info: fmt.ContainerInfo):
     """Per-worker ``global chunk index -> pipeline`` for decoding.
 
-    Caches one pipeline per codec, built on first use — a selector-coded
+    Caches one pipeline per codec, built on first use — a mixed-codec
     container with zero chunks has no table and never asks for one.
     Call once per worker: pipelines are thread-local by the executor
     contract.
@@ -230,51 +230,6 @@ def _encode(engine: Executor, codec: Codec, restart: bool, plan, data,
     return [payload for block in per_block for payload in block]
 
 
-def _encode_selector(
-    data, dtype_code: int, chunk_size: int, engine: Executor,
-    batch: bool | None, trace: TraceCollector | None, selector,
-) -> tuple[list[bytes], list[int]]:
-    """Probe, choose, group, route: the adaptive selector's payloads and
-    per-chunk codec table.
-
-    Selection runs once, up front, on the calling thread — the chosen
-    codec table is therefore identical under every executor policy and
-    batch setting, and the payload bytes inherit the fixed codecs' own
-    executor independence.  Same-decision chunks are grouped into subset
-    plans so the columnar batch kernels still engage, then the payloads
-    scatter back to container order.
-    """
-    from repro.core.codecs import selection_candidates
-    from repro.selection import get_policy, probe_chunks
-
-    policy = get_policy(selector)
-    candidates = selection_candidates(dtype_code)
-    plan = plan_encode(len(data), chunk_size)
-    view = memoryview(data)
-    probes = probe_chunks([view[job.offset : job.end] for job in plan.jobs],
-                          candidates, with_stats=False)
-    choices = [policy.choose(p, candidates) for p in probes]
-    groups: dict[int, list[int]] = {}
-    for i, member in enumerate(choices):
-        groups.setdefault(member.codec_id, []).append(i)
-    payloads: list = [None] * plan.n_chunks
-    for cid in sorted(groups):
-        member = codec_by_id(cid)
-        indices = groups[cid]
-        subplan = EncodePlan(
-            total_len=plan.total_len,
-            chunk_size=chunk_size,
-            jobs=tuple(plan.jobs[i] for i in indices),
-        )
-        # v4 contract: a member's global FCM stage runs restart-framed
-        # inside the chunk pipeline, so every chunk stays independent.
-        restart = member.global_stage_factory is not None
-        group = _encode(engine, member, restart, subplan, data, batch, trace)
-        for i, payload in zip(indices, group):
-            payloads[i] = payload
-    return payloads, [member.codec_id for member in choices]
-
-
 def compress_bytes(
     data: bytes,
     codec: Codec,
@@ -289,7 +244,6 @@ def compress_bytes(
     trace: TraceCollector | None = None,
     batch: bool | None = None,
     fcm: str = "global",
-    selector=None,
 ) -> bytes:
     """Compress raw bytes with ``codec`` into a contiguous container.
 
@@ -321,13 +275,8 @@ def compress_bytes(
     :data:`~repro.core.container.DEFAULT_CHUNK_CHECKSUMS`.  ``trace``
     collects per-chunk instrumentation.
 
-    When ``codec`` is the adaptive selector (``auto``), every chunk is
-    probed and routed to the best fixed codec for its statistics and the
-    output is a v4 container with a per-chunk codec table; ``selector``
-    then picks the decision policy (``"heuristic"`` default,
-    ``"trained"``, a thresholds-file path, or a
-    :class:`~repro.selection.SelectionPolicy`).  ``fcm`` is ignored —
-    member codecs with an FCM stage always run it restart-framed.
+    Every chunk is encoded by ``codec``; mixed-codec (v4) containers
+    come only from :func:`~repro.core.container.concat_containers`.
     """
     if fcm not in ("restart", "global"):
         raise ValueError(f"fcm must be 'restart' or 'global', not {fcm!r}")
@@ -341,19 +290,14 @@ def compress_bytes(
         trace.annotate(policy=engine.policy, workers=engine.workers,
                        direction="compress")
     restart = fcm == "restart" and codec.global_stage_factory is not None
-    intermediate, chunk_codecs = data, None
+    intermediate = data
     try:
-        if codec.selector:
-            payloads, chunk_codecs = _encode_selector(
-                data, dtype_code, chunk_size, engine, batch, trace, selector
-            )
-        else:
-            global_stage = None if restart else codec.make_global_stage()
-            if global_stage is not None:
-                intermediate = _run_global_stage(global_stage, "encode", data, trace)
-            payloads = _encode(engine, codec, restart,
-                               plan_encode(len(intermediate), chunk_size),
-                               intermediate, batch, trace)
+        global_stage = None if restart else codec.make_global_stage()
+        if global_stage is not None:
+            intermediate = _run_global_stage(global_stage, "encode", data, trace)
+        payloads = _encode(engine, codec, restart,
+                           plan_encode(len(intermediate), chunk_size),
+                           intermediate, batch, trace)
     finally:
         _release(engine, executor)
     blob = fmt.build_container(
@@ -367,7 +311,6 @@ def compress_bytes(
         checksum=crc,
         chunk_crcs=chunk_checksums,
         fcm_restart=restart,
-        chunk_codecs=chunk_codecs,
     )
     # Whole-input fallback: never hand back a container larger than raw.
     # Built lazily — compression usually wins, and the fallback copies
@@ -394,15 +337,15 @@ def _check_geometry(info: fmt.ContainerInfo, codec: Codec) -> None:
             f"codec {codec.name!r} has no FCM stage, but the container "
             f"declares FCM restart markers"
         )
-    if codec.selector and info.n_chunks and info.chunk_codecs is None:
+    if codec is MIXED and info.n_chunks and info.chunk_codecs is None:
         raise CorruptDataError(
-            f"codec {codec.name!r} is a selector, but the container "
-            f"carries no per-chunk codec table"
+            f"header codec {codec.name!r} needs a per-chunk codec table, "
+            f"but the container carries none"
         )
-    if info.chunk_codecs is not None and not codec.selector:
+    if info.chunk_codecs is not None and codec is not MIXED:
         raise CorruptDataError(
             f"container carries a per-chunk codec table, but its header "
-            f"codec {codec.name!r} is not a selector"
+            f"codec {codec.name!r} is not {MIXED.name!r}"
         )
     global_stage = None if info.fcm_restart else codec.make_global_stage()
     if global_stage is None:

@@ -62,8 +62,8 @@ Version 4 adds mixed-codec containers, gated by one new flag:
 * ``FLAG_CHUNK_CODECS`` (bit 6) — a per-chunk codec-id table (one u8 per
   chunk) follows the chunk index, and each chunk was encoded by the fixed
   codec its entry names rather than by the header codec (which then holds
-  the *selector* codec's id).  Every entry must name a known fixed codec
-  (a selector id or an unknown id is a :class:`FormatError` before any
+  the ``mixed`` header id, 5).  Every entry must name a known fixed codec
+  (the header id or an unknown id is a :class:`FormatError` before any
   allocation), member codecs with a global FCM stage always use restart
   framing inside the chunk pipeline (so ``inter_len == orig_len`` and the
   redundant ``FLAG_FCM_RESTART`` must be clear), and every chunk decodes
@@ -116,7 +116,7 @@ FLAG_CHUNK_INDEX = 0x10
 FLAG_FCM_RESTART = 0x20
 #: (v4) When set, a per-chunk codec-id table (one u8 per chunk) follows
 #: the chunk index and each chunk decodes under the fixed codec its entry
-#: names; the header ``codec_id`` then holds the selector codec's id.
+#: names; the header ``codec_id`` then holds the ``mixed`` header id (5).
 #: Member codecs with a global stage use restart framing inside the chunk
 #: pipeline, so ``inter_len == orig_len`` and ``FLAG_FCM_RESTART`` (which
 #: would be redundant) must be clear.
@@ -660,8 +660,9 @@ def _inspect(
         chunk_codec_ids = struct.unpack_from(f"<{n_chunks}B", blob, pos)
         pos += codec_bytes
         # Every entry must name a known *fixed* codec before anything is
-        # allocated from the table — a selector id cannot appear (there is
-        # no pipeline behind it) and an unknown id cannot be decoded.
+        # allocated from the table — the mixed header id cannot appear
+        # (there is no pipeline behind it) and an unknown id cannot be
+        # decoded.
         from repro.core.codecs import fixed_codec_ids
 
         known = fixed_codec_ids()
@@ -769,7 +770,7 @@ def concat_containers(blobs) -> bytes:
     describes the concatenated 1-D stream).
     """
     from repro.core.chunking import CHUNK_RAW, CHUNK_SIZE, chunk_lengths, iter_chunks
-    from repro.core.codecs import codec_by_id, fixed_codec_ids, selector_codec
+    from repro.core.codecs import MIXED, codec_by_id, fixed_codec_ids
 
     blobs = list(blobs)
     if not blobs:
@@ -804,10 +805,10 @@ def concat_containers(blobs) -> bytes:
             # The raw payload is the original bytes verbatim: re-chunk it
             # as CHUNK_RAW payloads (a copy, never a stage execution).  A
             # CHUNK_RAW payload decodes identically under any pipeline,
-            # so selector-codec fallbacks are tagged with the first fixed
-            # codec id (the table cannot carry a selector id).
+            # so fallbacks under the mixed header id are tagged with the
+            # first fixed codec id (the table cannot carry the header id).
             codec = codec_by_id(info.codec_id)
-            raw_id = min(fixed_codec_ids()) if codec.selector else info.codec_id
+            raw_id = min(fixed_codec_ids()) if codec is MIXED else info.codec_id
             view = memoryview(blob)[info.payload_offset:]
             for piece in iter_chunks(view, chunk_size):
                 payloads.append(bytes([CHUNK_RAW]) + bytes(piece))
@@ -863,7 +864,7 @@ def concat_containers(blobs) -> bytes:
             fcm_restart=codec.global_stage_factory is not None,
         )
     return build_container(
-        codec_id=selector_codec().codec_id,
+        codec_id=MIXED.codec_id,
         dtype_code=dtype_code,
         original_len=total_orig,
         intermediate_len=total_orig,

@@ -74,12 +74,6 @@ class StreamingCompressor:
         checksum: bool = fmt.DEFAULT_CHECKSUM,
         chunk_checksums: bool = fmt.DEFAULT_CHUNK_CHECKSUMS,
     ) -> None:
-        if codec.selector:
-            raise FormatError(
-                f"codec {codec.name!r} is the adaptive selector; streamed "
-                f"compression requires a fixed codec (the probe needs "
-                f"whole-chunk statistics the stream planner does not buffer)"
-            )
         if total_len < 0:
             raise ValueError(f"total_len must be non-negative, got {total_len}")
         self.codec = codec

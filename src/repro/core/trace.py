@@ -1,12 +1,12 @@
 """Per-chunk execution traces: the engine's instrumentation layer.
 
 FCBench-style cross-codec comparisons live or die on consistent
-measurement plumbing, and adaptive codec selection needs to *observe*
-what each chunk actually cost.  The engine therefore threads an optional
-:class:`TraceCollector` through every executor: when present, each chunk
-job records one :class:`ChunkTrace` — which worker ran it, how long each
-stage took, how many bytes each stage left behind, and whether the chunk
-fell back to raw storage.
+measurement plumbing that *observes* what each chunk actually cost.  The
+engine therefore threads an optional :class:`TraceCollector` through
+every executor: when present, each chunk job records one
+:class:`ChunkTrace` — which worker ran it, how long each stage took, how
+many bytes each stage left behind, and whether the chunk fell back to
+raw storage.
 
 Traces are collected lock-free: ``list.append`` is atomic under the GIL
 and each chunk produces exactly one record, so workers on any executor

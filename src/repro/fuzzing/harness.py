@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import container as fmt
-from repro.core.codecs import CODECS, get_codec
+from repro.core.chunking import CHUNK_SIZE, iter_chunks
+from repro.core.codecs import CODECS, MIXED, get_codec
 from repro.core.compressor import compress_bytes, decompress_bytes
 from repro.errors import ReproError, traceback_summary
 from repro.fuzzing.mutators import (
@@ -165,9 +166,10 @@ def build_corpus(seed: int, *, codecs=None, size: int = 72_000) -> list[FuzzCase
     add("raw-fallback", names[0], rng.bytes(size // 4),
         checksum=True, chunk_checksums=True)
     # v4 mixed-codec containers, for the codec-table mutators: a concat
-    # of differently-encoded halves (sp and, restart-framed, dp), and an
-    # adaptively selected container (auto writes the table even when
-    # every chunk routes the same way).
+    # of differently-encoded halves (sp and, restart-framed, dp), and a
+    # table naming one codec for every chunk — the shape the retired
+    # adaptive codec wrote (raw-byte dtype, header id 5), which old
+    # files still carry.
     if {"spspeed", "spratio"} <= set(names):
         data = _smooth(rng, get_codec("spspeed").dtype, size)
         half = len(data) // 2
@@ -177,8 +179,16 @@ def build_corpus(seed: int, *, codecs=None, size: int = 72_000) -> list[FuzzCase
             compress_bytes(data[half:], get_codec("spratio"),
                            chunk_checksums=True),
         ]))
-        record("auto-v4", "auto", data,
-               compress_bytes(data, get_codec("auto"), chunk_checksums=True))
+        spratio = get_codec("spratio")
+        pipeline = spratio.make_pipeline()
+        payloads = [pipeline.encode_chunk(c) for c in iter_chunks(data)]
+        record("uniform-v4", "spratio", data, fmt.build_container(
+            codec_id=MIXED.codec_id, dtype_code=fmt.DTYPE_BYTES,
+            original_len=len(data), intermediate_len=len(data),
+            chunk_size=CHUNK_SIZE, chunk_payloads=payloads,
+            checksum=fmt.checksum_of(data), chunk_crcs=True,
+            chunk_codecs=[spratio.codec_id] * len(payloads),
+        ))
     if {"dpspeed", "dpratio"} <= set(names):
         data = _smooth(rng, get_codec("dpspeed").dtype, size)
         half = len(data) // 2

@@ -258,7 +258,7 @@ def codec_table_id(blob: bytes, rng: np.random.Generator) -> bytes:
 
     The per-chunk table routes each payload to a decode pipeline; an
     entry naming a codec this build does not know (including the
-    selector's own id, which never encodes a chunk) must be rejected at
+    ``mixed`` header id, which never encodes a chunk) must be rejected at
     parse time — before any pipeline or allocation is chosen from it.
     """
     from repro.core.codecs import fixed_codec_ids
@@ -283,7 +283,7 @@ def codec_table_flag(blob: bytes, rng: np.random.Generator) -> bytes:
 
     Both directions must be rejected: cleared on a v4 container, the
     declared tables no longer account for the codec-table bytes (and a
-    selector header codec without a table is meaningless); set on a
+    ``mixed`` header codec without a table is meaningless); set on a
     v1-v3 container, the flag is unknown for that version.
     """
     buf = bytearray(blob)

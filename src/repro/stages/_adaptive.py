@@ -70,17 +70,6 @@ def choose_k(leading: np.ndarray, n: int, word_bits: int) -> int:
     return best + 1
 
 
-def eliminated_counts_rows(leading2d: np.ndarray, word_bits: int) -> np.ndarray:
-    """Per-row :func:`eliminated_counts` of an ``(n_rows, n)`` grid.
-
-    Dispatches to the active kernel backend; the numpy reference below
-    replaces the per-row histogram with one flattened ``bincount`` (rows
-    offset into disjoint bins) and runs the suffix sum along the bin
-    axis.
-    """
-    return _backend.kernel("eliminated_counts_rows")(leading2d, word_bits)
-
-
 def choose_k_rows(
     leading: np.ndarray, counts: np.ndarray, word_bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,17 +83,6 @@ def choose_k_rows(
     backend.
     """
     return _backend.kernel("choose_k_rows")(leading, counts, word_bits)
-
-
-def _eliminated_counts_rows_numpy(leading2d: np.ndarray, word_bits: int) -> np.ndarray:
-    """The numpy reference batched histogram."""
-    n_rows = len(leading2d)
-    bins = word_bits + 1
-    offset = np.arange(n_rows, dtype=np.int64)[:, None] * bins
-    flat = np.asarray(leading2d, dtype=np.int64) + offset
-    hist = np.bincount(flat.reshape(-1), minlength=n_rows * bins)
-    hist = hist[: n_rows * bins].reshape(n_rows, bins)
-    return np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
 
 
 def _choose_k_rows_numpy(

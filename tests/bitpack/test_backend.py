@@ -131,10 +131,6 @@ class TestPackParity:
     def test_adaptive_rows(self, backend, word_bits):
         ref, alt = _ref(), _alt(backend)
         rng = np.random.default_rng(0xADA + word_bits)
-        lead = rng.integers(0, word_bits + 1, (6, 40), dtype=np.int64)
-        a = ref["eliminated_counts_rows"](lead, word_bits)
-        b = alt["eliminated_counts_rows"](lead, word_bits)
-        assert np.array_equal(a, b)
         # Ragged rows, empty ones included: one flat array plus row counts.
         counts = np.array([40, 0, 7, 40, 1, 0, 33], dtype=np.int64)
         flat = rng.integers(0, word_bits + 1, int(counts.sum())).astype(np.uint8)
@@ -267,7 +263,7 @@ class TestRegistry:
         assert B.active_backend().auto
 
     def test_describe_counts_native_kernels(self):
-        assert "8/8 native kernels" in B.get_backend(PURE_NAME).describe()
+        assert "7/7 native kernels" in B.get_backend(PURE_NAME).describe()
         assert B.get_backend("numpy").describe().startswith("numpy")
 
     def test_numba_auto_selected_when_importable(self):

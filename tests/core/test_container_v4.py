@@ -3,8 +3,9 @@
 Validation must reject every malformed table before a single payload
 byte is trusted; concat composes mixed inputs into a correct merged
 table; salvage attributes each failure to the member codec that owns
-the chunk; and the v4 bytes the selector writes are frozen by golden
-digests — a change here means a new wire version, not an updated hash.
+the chunk; and the v4 bytes of files written by the retired adaptive
+``auto`` codec are frozen by golden digests — those files must keep
+decoding, so a change here means a new wire version, not an updated hash.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core import container as fmt
-from repro.core.codecs import get_codec
+from repro.core.codecs import codec_by_id, get_codec
 from repro.core.compressor import compress_bytes, decompress_bytes
-from repro.errors import FormatError, ReproError
+from repro.errors import CorruptDataError, FormatError, ReproError, UnknownCodecError
 from repro.fuzzing import (
     CODEC_TABLE_MUST_REJECT,
     FLAG_MUST_REJECT,
@@ -26,6 +28,26 @@ from repro.fuzzing import (
 )
 
 CHUNK = 8192
+#: The v4 header id (``mixed``): ``concat`` writes it, and so did the
+#: retired adaptive ``auto`` codec.
+MIXED_ID = 5
+
+
+def _auto_v4(data: bytes, table: tuple[int, ...], dtype_code: int) -> bytes:
+    """The v4 container the retired ``auto`` codec wrote after choosing
+    ``table``: each payload is its member pipeline's own encoding of one
+    ``CHUNK``-byte chunk, under the mixed header id."""
+    chunks = [data[i : i + CHUNK] for i in range(0, len(data), CHUNK)]
+    assert len(chunks) == len(table)
+    return fmt.build_container(
+        codec_id=MIXED_ID, dtype_code=dtype_code, original_len=len(data),
+        intermediate_len=len(data), chunk_size=CHUNK,
+        chunk_payloads=[
+            codec_by_id(cid).make_pipeline(fcm_restart=True).encode_chunk(chunk)
+            for cid, chunk in zip(table, chunks)
+        ],
+        checksum=fmt.checksum_of(data), chunk_crcs=True, chunk_codecs=list(table),
+    )
 
 
 def _mixed_f32(seed: int = 0x4D495853) -> bytes:
@@ -92,11 +114,11 @@ class TestInspectValidation:
             fmt.inspect_container(bytes(buf))
 
     def test_selector_id_in_table_rejected(self):
-        # The selector's own id can never appear in the table: there is
-        # no pipeline behind it.
+        # The mixed header id can never appear in the table: there is no
+        # pipeline behind it.
         buf = bytearray(self._v4())
         info = fmt.inspect_container(bytes(buf))
-        buf[info.payload_offset - 1] = get_codec("auto").codec_id
+        buf[info.payload_offset - 1] = MIXED_ID
         with pytest.raises(FormatError, match="not a known fixed codec"):
             fmt.inspect_container(bytes(buf))
 
@@ -117,8 +139,11 @@ class TestInspectValidation:
             fmt.inspect_container(bytes(buf))
 
     def test_raw_fallback_with_table_flag_rejected(self):
-        raw = compress_bytes(np.random.default_rng(1).bytes(64),
-                             get_codec("auto"))
+        # What ``auto`` wrote on incompressible input: a v1 raw fallback
+        # under the mixed header id.
+        data = np.random.default_rng(1).bytes(64)
+        raw = fmt.build_raw_container(codec_id=MIXED_ID, dtype_code=fmt.DTYPE_BYTES,
+                                      data=data, checksum=fmt.checksum_of(data))
         info = fmt.inspect_container(raw)
         assert info.raw_fallback
         buf = bytearray(raw)
@@ -130,6 +155,24 @@ class TestInspectValidation:
         buf[4] = fmt.VERSION_CHUNK_CODECS
         with pytest.raises(FormatError, match="codec table"):
             fmt.inspect_container(bytes(buf))
+
+    def test_mixed_header_without_table_rejected(self):
+        # A container claiming the mixed header id but carrying chunks
+        # and no table says nothing about how to decode them — and a
+        # table under a fixed header codec contradicts it.
+        blob = fmt.build_container(
+            codec_id=get_codec("spspeed").codec_id, dtype_code=fmt.DTYPE_F32,
+            original_len=8, intermediate_len=8, chunk_size=8,
+            chunk_payloads=[b"\x00" * 4],
+        )
+        buf = bytearray(blob)
+        buf[5] = MIXED_ID
+        with pytest.raises(CorruptDataError, match="needs a per-chunk codec table"):
+            decompress_bytes(bytes(buf))
+        buf = bytearray(self._v4())
+        buf[5] = get_codec("spratio").codec_id
+        with pytest.raises(CorruptDataError, match="is not 'mixed'"):
+            decompress_bytes(bytes(buf))
 
     def test_truncated_table_rejected(self):
         blob = self._v4()
@@ -177,16 +220,19 @@ class TestConcatComposition:
         assert decompress_bytes(merged)[0] == mixed_data + extra.tobytes()
 
     def test_raw_fallback_selector_member_gets_fixed_id(self):
+        # An old ``auto`` raw fallback: the table cannot carry the mixed
+        # header id, so its chunks take the lowest fixed codec id.
         noise = np.random.default_rng(3).bytes(2 * CHUNK)
-        raw = compress_bytes(noise, get_codec("auto"), chunk_size=CHUNK,
-                             dtype_code=fmt.DTYPE_F32)
+        raw = fmt.build_raw_container(codec_id=MIXED_ID, dtype_code=fmt.DTYPE_F32,
+                                      data=noise, checksum=fmt.checksum_of(noise))
         assert fmt.inspect_container(raw).raw_fallback
         other = compress_bytes(_mixed_f32(), get_codec("spratio"),
                                chunk_size=CHUNK, dtype_code=fmt.DTYPE_F32)
         merged = fmt.concat_containers([raw, other])
         info = fmt.inspect_container(merged)
         assert info.version == fmt.VERSION_CHUNK_CODECS
-        assert get_codec("auto").codec_id not in info.chunk_codecs
+        assert MIXED_ID not in info.chunk_codecs
+        assert info.chunk_codecs[:2] == (get_codec("spspeed").codec_id,) * 2
         assert decompress_bytes(merged)[0] == noise + _mixed_f32()
 
 
@@ -223,9 +269,7 @@ class TestCodecTableFuzzRegression:
 
     def _cases(self):
         mixed, _ = _mixed_v4_blob()
-        auto = compress_bytes(_mixed_f32(), get_codec("auto"),
-                              chunk_size=CHUNK, dtype_code=fmt.DTYPE_F32)
-        assert fmt.inspect_container(auto).chunk_codecs is not None
+        auto = _auto_v4(_mixed_f32(), (2,) * 6, fmt.DTYPE_F32)
         return {"mixed-concat": mixed, "auto": auto}
 
     @pytest.mark.parametrize("mutator", sorted(CODEC_TABLE_MUST_REJECT))
@@ -256,11 +300,12 @@ class TestCodecTableFuzzRegression:
                 decompress_bytes(mutant)
 
 
-#: sha256 of the v4 containers the selector writes over the corpus
-#: below, recorded when the adaptive codec landed.  The selection is
-#: part of the wire contract: a digest change means the probe, policy,
-#: or container writer changed the bytes — bump the container version
-#: (or refit deliberately and say so), never silently update a hash.
+#: sha256 of the v4 containers the retired adaptive ``auto`` codec wrote
+#: over the corpus below, recorded when it landed.  It routed every f32
+#: chunk to SPratio (id 2) and every f64 chunk to DPspeed (id 3); the
+#: ``mixed-f*/auto`` containers are rebuilt from those tables, and files
+#: holding these bytes must keep decoding — a digest change means the
+#: container writer changed, never a reason to update a hash.
 GOLDEN_V4_SHA256 = {
     "mixed-f32/auto": "bd94b4e4d9ede28796013cfc546f735c37b5a18284033a9dac1bedfff2bfdd79",
     "mixed-f64/auto": "8e22ebe71038f2a4ad55da6019b720a89aa2a4de7beea0683b59ac8a2c3301fa",
@@ -285,10 +330,8 @@ class TestGoldenV4Digests:
     def test_selector_containers_byte_identical(self):
         f32, f64 = _v4_corpus()
         seen = {}
-        blob32 = compress_bytes(f32.tobytes(), get_codec("auto"),
-                                chunk_size=CHUNK, dtype_code=fmt.DTYPE_F32)
-        blob64 = compress_bytes(f64.tobytes(), get_codec("auto"),
-                                chunk_size=CHUNK, dtype_code=fmt.DTYPE_F64)
+        blob32 = _auto_v4(f32.tobytes(), (2,) * 6, fmt.DTYPE_F32)
+        blob64 = _auto_v4(f64.tobytes(), (3,) * 4, fmt.DTYPE_F64)
         assert fmt.inspect_container(blob32).version == 4
         assert fmt.inspect_container(blob64).version == 4
         seen["mixed-f32/auto"] = hashlib.sha256(blob32).hexdigest()
@@ -301,11 +344,27 @@ class TestGoldenV4Digests:
         from repro.core.compressor import decompress_range_bytes
 
         f32, f64 = _v4_corpus()
-        for arr, code in ((f32, fmt.DTYPE_F32), (f64, fmt.DTYPE_F64)):
+        for arr, table, code in ((f32, (2,) * 6, fmt.DTYPE_F32),
+                                 (f64, (3,) * 4, fmt.DTYPE_F64)):
             data = arr.tobytes()
-            blob = compress_bytes(data, get_codec("auto"),
-                                  chunk_size=CHUNK, dtype_code=code)
+            blob = _auto_v4(data, table, code)
+            assert repro.inspect(blob).codec_id == MIXED_ID
             out, _ = decompress_bytes(blob)
             assert out == data
-            window, _ = decompress_range_bytes(blob, 16, 4096)
-            assert window == data[16:4096]
+            for start, stop in ((16, 4096), (CHUNK - 3, 2 * CHUNK + 5),
+                                (0, len(data))):
+                window, _ = decompress_range_bytes(blob, start, stop)
+                assert window == data[start:stop]
+
+
+class TestRetiredAutoCodec:
+    def test_auto_name_rejected(self, tmp_path, capsys):
+        x = np.linspace(0.0, 1.0, 1024, dtype=np.float32)
+        with pytest.raises(UnknownCodecError, match="dpratio, dpspeed, spratio, spspeed"):
+            repro.compress(x, "auto")
+        src = tmp_path / "x.f32"
+        src.write_bytes(x.tobytes())
+        assert main(["compress", str(src), str(tmp_path / "x.fprz"),
+                     "--codec", "auto"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.fprz").exists()

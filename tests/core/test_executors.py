@@ -261,19 +261,6 @@ class TestTraceContents:
         assert collector.workers == 2
         assert sum(t.original_len for t in collector.chunks) >= len(data)
 
-    def test_selector_compress_traces_every_chunk(self, rng):
-        # The adaptive selector encodes through the same block jobs, so a
-        # traced ``auto`` run records one chunk trace per container chunk.
-        codec = get_codec("auto")
-        data = _sample(rng, np.float64, 9_000)
-        collector = TraceCollector()
-        blob = compress_bytes(data, codec, trace=collector, chunk_size=16_384)
-        assert blob == compress_bytes(data, codec, chunk_size=16_384)
-        assert collector.direction == "compress"
-        assert [t.index for t in collector.chunks] == list(
-            range(fmt.inspect_container(blob).n_chunks)
-        )
-
     def test_untraced_path_unaffected(self, rng):
         codec = get_codec("spspeed")
         data = _sample(rng, codec.dtype, 40_000)

@@ -1,12 +1,18 @@
 """Cross-path differential oracle: every encode and decode path agrees.
 
 One hypothesis draw is a case: dtype, element count (0 to ~6 chunks,
-ragged tails included), chunk size, codec (``auto`` included), FCM mode,
-the two checksum flags, a data shape (smooth, incompressible, or half of
-each), a split point and a few element slices.  The case is compressed
-through every encode path and every container must equal the serial
-per-chunk reference byte for byte; the reference container is then
-decoded through every decode path and every result must equal the input.
+ragged tails included), chunk size, codec, FCM mode, the two checksum
+flags, a data shape (smooth, incompressible, or half of each), a split
+point and a few element slices.  The case is compressed through every
+encode path and every container must equal the serial per-chunk
+reference byte for byte; the reference container is then decoded
+through every decode path and every result must equal the input.
+
+The ``mixed`` codec stands for the v4 per-chunk codec table: its
+reference is the ``concat`` of the speed codec's container over the
+elements before the split point and the ratio codec's restart-framed
+container over the rest.  Its halves' encode paths are the fixed
+codecs' own, so it runs the decode paths only.
 
 The process pool starts worker processes, too slow for every draw, so it
 runs on one fixed example per codec only (``process=True``).
@@ -31,8 +37,8 @@ from repro.core.executors import SharedMemoryProcessExecutor
 from repro.core.incremental import StreamingCompressor, StreamingDecompressor
 
 CODECS = {
-    np.float32: ("spspeed", "spratio", "auto"),
-    np.float64: ("dpspeed", "dpratio", "auto"),
+    np.float32: ("spspeed", "spratio", "mixed"),
+    np.float64: ("dpspeed", "dpratio", "mixed"),
 }
 DTYPE_CODES = {np.float32: fmt.DTYPE_F32, np.float64: fmt.DTYPE_F64}
 CHUNK_SIZES = (1024, 4096, 16384)
@@ -113,13 +119,31 @@ def _fixed(codec: str, dtype) -> Case:
                 slices=((0, n), (per_chunk - 3, per_chunk + 5), (n - 1, n)))
 
 
-def _compress(case: Case, data: bytes, **kwargs) -> bytes:
+def _compress(case: Case, data: bytes, codec: str | None = None,
+              fcm: str | None = None, **kwargs) -> bytes:
     return compress_bytes(
-        data, get_codec(case.codec), chunk_size=case.chunk_size,
+        data, get_codec(codec or case.codec), chunk_size=case.chunk_size,
         dtype_code=DTYPE_CODES[case.dtype], shape=(len(data) // np.dtype(case.dtype).itemsize,),
         checksum=case.checksum, chunk_checksums=case.chunk_checksums,
-        fcm=case.fcm, **kwargs,
+        fcm=fcm or case.fcm, **kwargs,
     )
+
+
+def _concat_halves(case: Case, data: bytes, first: str, second: str) -> bytes:
+    """``concat`` of ``first``'s container over the elements before the
+    split point and ``second``'s over the rest, both restart-framed."""
+    split = case.split * np.dtype(case.dtype).itemsize
+    return repro.concat([
+        _compress(case, data[:split], codec=first, fcm="restart"),
+        _compress(case, data[split:], codec=second, fcm="restart"),
+    ])
+
+
+def _reference(case: Case, data: bytes) -> bytes:
+    if case.codec == "mixed":
+        speed, ratio = CODECS[case.dtype][:2]
+        return _concat_halves(case, data, speed, ratio)
+    return _compress(case, data, executor="serial", batch=False)
 
 
 def _streamed_encode(case: Case, data: bytes) -> bytes:
@@ -150,7 +174,7 @@ def _check_encode_paths(case: Case, data: bytes, reference: bytes, process) -> N
     if process is not None:
         for batch in (True, False):
             assert _compress(case, data, executor=process, batch=batch) == reference
-    streamable = (case.codec != "auto" and case.seekable
+    streamable = (case.seekable
                   and not fmt.inspect_container(reference).raw_fallback)
     if streamable:
         assert _streamed_encode(case, data) == reference
@@ -180,8 +204,8 @@ def _check_decode_paths(case: Case, array: np.ndarray, blob: bytes, process) -> 
             assert repro.decompress_range(blob, a, b).tobytes() == reader.read(a, b).tobytes()
     if case.seekable:
         assert _streamed_decode(blob) == data
-        split = case.split * itemsize
-        halves = repro.concat([_compress(case, data[:split]), _compress(case, data[split:])])
+    if case.seekable and case.codec != "mixed":
+        halves = _concat_halves(case, data, case.codec, case.codec)
         assert decompress_bytes(halves)[0] == data
 
 
@@ -191,7 +215,8 @@ def _check_decode_paths(case: Case, array: np.ndarray, blob: bytes, process) -> 
 @example(case=_fixed("spratio", np.float32), process=True)
 @example(case=_fixed("dpspeed", np.float64), process=True)
 @example(case=_fixed("dpratio", np.float64), process=True)
-@example(case=_fixed("auto", np.float64), process=True)
+# Process-pool decode of a v4 container with a DPratio member.
+@example(case=_fixed("mixed", np.float64), process=True)
 # Concat of two empty FCM containers must stay decodable.
 @example(case=Case(dtype=np.float64, codec="dpratio", chunk_size=4096, n_items=0,
                    kind="smooth", seed=0, fcm="restart", checksum=True,
@@ -200,10 +225,11 @@ def _check_decode_paths(case: Case, array: np.ndarray, blob: bytes, process) -> 
 def test_every_path_agrees(case: Case, process: bool) -> None:
     array = case.array()
     data = array.tobytes()
-    reference = _compress(case, data, executor="serial", batch=False)
+    reference = _reference(case, data)
     pool = SharedMemoryProcessExecutor(2) if process else None
     try:
-        _check_encode_paths(case, data, reference, pool)
+        if case.codec != "mixed":
+            _check_encode_paths(case, data, reference, pool)
         _check_decode_paths(case, array, reference, pool)
     finally:
         if pool is not None:

@@ -87,7 +87,7 @@ class TestInspect:
 
     def test_available_codecs(self):
         assert repro.available_codecs() == [
-            "auto", "dpratio", "dpspeed", "spratio", "spspeed"
+            "dpratio", "dpspeed", "spratio", "spspeed"
         ]
 
 
