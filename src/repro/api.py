@@ -61,6 +61,19 @@ def _coerce_input(
     return np.ascontiguousarray(array).tobytes(), code, array.shape, array.dtype
 
 
+def resolve_codec(
+    codec: str | None, dtype: np.dtype | None, mode: str = "ratio"
+) -> codec_registry.Codec:
+    """The codec :func:`compress` runs: ``codec`` by name when given, else
+    the paper's pick for ``dtype`` and ``mode`` (``dtype`` is ``None``
+    for raw bytes, which need an explicit name)."""
+    if codec is not None:
+        return codec_registry.get_codec(codec)
+    if dtype is not None:
+        return codec_registry.codec_for(dtype, mode)
+    raise UnsupportedDtypeError("raw bytes input requires an explicit codec name")
+
+
 def compress(
     data: np.ndarray | bytes | bytearray | memoryview,
     codec: str | None = None,
@@ -135,12 +148,7 @@ def compress(
         :mod:`repro.core.container`).
     """
     raw, dtype_code, shape, dtype = _coerce_input(data)
-    if codec is not None:
-        chosen = codec_registry.get_codec(codec)
-    elif dtype is not None:
-        chosen = codec_registry.codec_for(dtype, mode)
-    else:
-        raise UnsupportedDtypeError("raw bytes input requires an explicit codec name")
+    chosen = resolve_codec(codec, dtype, mode)
     return compress_bytes(
         raw, chosen, chunk_size=chunk_size, dtype_code=dtype_code, shape=shape,
         workers=workers, checksum=checksum, chunk_checksums=chunk_checksums,
@@ -234,13 +242,13 @@ def decompress_range(
     if errors == "salvage":
         data, _, report = decompress_range_bytes(
             blob, a * itemsize, b * itemsize, workers=workers,
-            executor=executor, trace=trace, errors="salvage",
+            executor=executor, trace=trace, errors="salvage", info=info,
         )
         result = data if dtype is None else np.frombuffer(data, dtype=dtype)
         return result, report
     data, _ = decompress_range_bytes(
         blob, a * itemsize, b * itemsize, workers=workers, executor=executor,
-        trace=trace, errors=errors,
+        trace=trace, errors=errors, info=info,
     )
     return data if dtype is None else np.frombuffer(data, dtype=dtype)
 

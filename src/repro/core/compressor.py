@@ -378,7 +378,7 @@ def _decode(engine: Executor, codec: Codec, info: fmt.ContainerInfo, plan,
     blocks = _blocks(plan, engine.workers, batched, info)
     out = bytearray(plan.out_len)
     view = memoryview(blob)
-    jobs, crcs = plan.jobs, info.chunk_crcs
+    jobs, crcs = plan.jobs, info.crc_array
 
     def make_worker(worker_id: int):
         resolve = _pipeline_resolver(codec, info)
@@ -541,11 +541,18 @@ def _finish(info: fmt.ContainerInfo, codec: Codec, buf, plan, base: int | None,
     )
 
 
-def _decompress(blob, span, *, workers, executor, trace, errors, batch):
-    """Plan, execute and assemble one full (``span=None``) or range decode."""
+def _decompress(blob, span, *, workers, executor, trace, errors, batch,
+                info=None):
+    """Plan, execute and assemble one full (``span=None``) or range decode.
+
+    ``info`` is ``fmt.inspect_container(blob)`` when the caller already
+    parsed the header (it is trusted, not re-checked against ``blob``);
+    ``None`` parses it here.
+    """
     if errors not in ("raise", "salvage"):
         raise ValueError(f"errors must be 'raise' or 'salvage', not {errors!r}")
-    info = fmt.inspect_container(blob)
+    if info is None:
+        info = fmt.inspect_container(blob)
     codec = codec_by_id(info.codec_id)
     _check_geometry(info, codec)
     if span is not None and not 0 <= span[0] <= span[1] <= info.original_len:
@@ -613,6 +620,7 @@ def decompress_range_bytes(
     trace: TraceCollector | None = None,
     errors: str = "raise",
     batch: bool | None = None,
+    info: fmt.ContainerInfo | None = None,
 ):
     """Decode only the bytes ``[start, stop)`` of a container's original data.
 
@@ -634,6 +642,10 @@ def decompress_range_bytes(
     with per-chunk failures zero-filled; the report's ``damaged_ranges``
     are relative to the returned slice and ``checksum_ok`` is ``None``
     (a slice cannot be checksum-verified).
+
+    ``info`` lets a caller that already parsed the header skip the
+    parse: it must be ``inspect_container(blob)`` for this very ``blob``
+    (it is not re-checked).  Chunk CRCs are still verified on every read.
     """
     return _decompress(blob, (start, stop), workers=workers, executor=executor,
-                       trace=trace, errors=errors, batch=batch)
+                       trace=trace, errors=errors, batch=batch, info=info)

@@ -84,7 +84,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+
+import numpy as np
 
 from repro.errors import BoundsError, FormatError
 
@@ -160,7 +164,13 @@ _HEADER = struct.Struct("<4sBBBBQQII")
 
 @dataclass(frozen=True)
 class ContainerInfo:
-    """Parsed container metadata (no payload decoding)."""
+    """Parsed container metadata (no payload decoding).
+
+    The per-chunk tables are kept as the bytes stored in the container
+    and unpacked on first use: a parse costs the header, not one Python
+    integer per chunk, so a range read out of a large container pays for
+    the chunks it touches.
+    """
 
     version: int
     codec_id: int
@@ -171,12 +181,9 @@ class ContainerInfo:
     chunk_size: int
     n_chunks: int
     shape: tuple[int, ...] | None
-    chunk_sizes: tuple[int, ...]
     payload_offset: int
     total_len: int
     checksum: int | None = None
-    #: (v2) CRC32 of each compressed chunk payload, or ``None``.
-    chunk_crcs: tuple[int, ...] | None = None
     #: (v3) Absolute payload offset of each chunk from the explicit chunk
     #: index, or ``None`` when the container carries no index.
     index_offsets: tuple[int, ...] | None = None
@@ -190,6 +197,11 @@ class ContainerInfo:
     #: ``None`` for single-codec containers.  Every entry is validated to
     #: name a known fixed codec before this object is built.
     chunk_codecs: tuple[int, ...] | None = None
+    #: The chunk table as stored: one little-endian u32 payload size per
+    #: chunk (:attr:`chunk_sizes` unpacks it).
+    chunk_table: bytes = field(default=b"", repr=False)
+    #: (v2) The chunk CRC table as stored, or ``None`` (:attr:`chunk_crcs`).
+    crc_table: bytes | None = field(default=None, repr=False)
 
     @property
     def compressed_len(self) -> int:
@@ -213,6 +225,50 @@ class ContainerInfo:
         if self.total_len == 0:
             return 0.0
         return self.original_len / self.total_len
+
+    # Everything below is derived from the stored tables on first use and
+    # then kept on this parsed header.  The prefix sums make every range
+    # read planned from it O(1) (paper §3.1: read and write positions are
+    # prefix sums over lengths known a priori).
+
+    @cached_property
+    def chunk_sizes(self) -> tuple[int, ...]:
+        """Compressed payload size of each chunk."""
+        return struct.unpack(f"<{self.n_chunks}I", self.chunk_table)
+
+    @cached_property
+    def chunk_crcs(self) -> tuple[int, ...] | None:
+        """(v2) CRC32 of each compressed chunk payload, or ``None``."""
+        if self.crc_table is None:
+            return None
+        return struct.unpack(f"<{self.n_chunks}I", self.crc_table)
+
+    @cached_property
+    def crc_array(self) -> np.ndarray | None:
+        """:attr:`chunk_crcs` as a uint32 view of the stored table, for
+        lookups of a few chunks that should not unpack every entry."""
+        if self.crc_table is None:
+            return None
+        return np.frombuffer(self.crc_table, dtype="<u4")
+
+    @cached_property
+    def payload_bounds(self) -> np.ndarray:
+        """Absolute offset of each chunk payload, then the end of the last
+        one (``n_chunks + 1`` int64 entries): the prefix sums over the
+        chunk table, which a v3 index matches entry for entry (checked at
+        parse time)."""
+        bounds = np.empty(self.n_chunks + 1, dtype=np.int64)
+        bounds[0] = self.payload_offset
+        np.cumsum(np.frombuffer(self.chunk_table, dtype="<u4"), dtype=np.int64,
+                  out=bounds[1:])
+        bounds[1:] += self.payload_offset
+        return bounds
+
+    @cached_property
+    def decoded_starts(self) -> tuple[int, ...]:
+        """Intermediate offset at which each chunk's decoded bytes begin,
+        plus the total as a last entry (``n_chunks + 1`` entries)."""
+        return tuple(accumulate(self.decoded_lengths(), initial=0))
 
 
 def checksum_of(data) -> int:
@@ -603,7 +659,6 @@ def _inspect(
             chunk_size=0,
             n_chunks=0,
             shape=shape,
-            chunk_sizes=(),
             payload_offset=pos,
             total_len=total_len,
             checksum=checksum,
@@ -641,11 +696,12 @@ def _inspect(
         # Only reachable in partial mode: the declared total has room for
         # the tables, the bytes just haven't arrived yet.
         return None
-    chunk_sizes = struct.unpack_from(f"<{n_chunks}I", blob, pos)
+    # The tables are copied out as stored and unpacked only on use.
+    chunk_table = bytes(blob[pos : pos + table_bytes])
     pos += table_bytes
-    chunk_crcs: tuple[int, ...] | None = None
+    crc_table: bytes | None = None
     if flags & FLAG_CHUNK_CRCS:
-        chunk_crcs = struct.unpack_from(f"<{n_chunks}I", blob, pos)
+        crc_table = bytes(blob[pos : pos + crc_bytes])
         pos += crc_bytes
     index_offsets: tuple[int, ...] | None = None
     index_out_lengths: tuple[int, ...] | None = None
@@ -673,15 +729,16 @@ def _inspect(
                     f"which is not a known fixed codec "
                     f"(known ids: {sorted(known)})"
                 )
-    for i, size in enumerate(chunk_sizes):
-        if size == 0:
-            raise FormatError(
-                f"chunk {i} declares a zero-length payload in the chunk table "
-                f"(every payload carries at least its flag byte)"
-            )
-    if pos + sum(chunk_sizes) != total_len:
+    sizes = np.frombuffer(chunk_table, dtype="<u4")
+    if not sizes.all():
         raise FormatError(
-            f"payload length mismatch: chunk table says {sum(chunk_sizes)}, "
+            f"chunk {int(sizes.argmin())} declares a zero-length payload in "
+            f"the chunk table (every payload carries at least its flag byte)"
+        )
+    payload_len = int(sizes.sum(dtype=np.uint64))
+    if pos + payload_len != total_len:
+        raise FormatError(
+            f"payload length mismatch: chunk table says {payload_len}, "
             f"container has {total_len - pos} bytes after offset {pos}"
         )
     if index_offsets is not None:
@@ -690,6 +747,7 @@ def _inspect(
         # seeking and the container is rejected outright.
         expect = pos
         total_out = 0
+        chunk_sizes = sizes.tolist()
         for i in range(n_chunks):
             if index_offsets[i] != expect:
                 raise FormatError(
@@ -720,33 +778,24 @@ def _inspect(
         chunk_size=chunk_size,
         n_chunks=n_chunks,
         shape=shape,
-        chunk_sizes=tuple(chunk_sizes),
         payload_offset=pos,
         total_len=total_len,
         checksum=checksum,
-        chunk_crcs=chunk_crcs,
         index_offsets=index_offsets,
         index_out_lengths=index_out_lengths,
         fcm_restart=bool(flags & FLAG_FCM_RESTART),
         chunk_codecs=chunk_codec_ids,
+        chunk_table=chunk_table,
+        crc_table=crc_table,
     )
 
 
 def payload_offsets(info: ContainerInfo) -> list[int]:
-    """Absolute offset of each chunk payload.
-
-    Containers with the v3 explicit index answer from the stored offsets
-    (already validated against the chunk table); older containers fall
-    back to the prefix sum over the chunk-size table.
-    """
-    if info.index_offsets is not None:
-        return list(info.index_offsets)
-    offsets = []
-    pos = info.payload_offset
-    for size in info.chunk_sizes:
-        offsets.append(pos)
-        pos += size
-    return offsets
+    """Absolute offset of each chunk payload: the prefix sums over the
+    chunk table that :attr:`ContainerInfo.payload_bounds` computes once per
+    parsed header (a v3 index stores the same offsets, checked at parse
+    time)."""
+    return info.payload_bounds[:-1].tolist()
 
 
 def concat_containers(blobs) -> bytes:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from repro.core import container as fmt
-from repro.core.chunking import CHUNK_SIZE, chunk_lengths, chunk_offsets
+from repro.core.chunking import CHUNK_SIZE, chunk_count, chunk_lengths, chunk_offsets
 from repro.errors import BoundsError, CorruptDataError
 
 
@@ -89,19 +88,25 @@ def plan_encode(total_len: int, chunk_size: int = CHUNK_SIZE) -> EncodePlan:
     return EncodePlan(total_len=total_len, chunk_size=chunk_size, jobs=jobs)
 
 
-def _decode_geometry(info: fmt.ContainerInfo) -> tuple[int, ...]:
-    """Validated decoded length of every chunk of a non-raw container."""
+def _check_chunk_geometry(info: fmt.ContainerInfo) -> None:
+    """Reject a non-raw container whose header cannot carry a chunk plan:
+    chunks under a zero chunk size, or a chunk count its decoded
+    geometry does not imply.  O(1): nothing is summed."""
     if info.raw_fallback:
         raise ValueError("raw-fallback containers have no chunk plan")
-    if info.chunk_size <= 0 and info.intermediate_len > 0:
+    if info.chunk_size <= 0 and (info.intermediate_len > 0 or info.n_chunks):
         raise CorruptDataError("container header carries a zero chunk size")
-    lengths = info.decoded_lengths()
-    if len(lengths) != info.n_chunks:
+    if info.index_out_lengths is not None:
+        implied = len(info.index_out_lengths)
+    elif info.n_chunks == 0:
+        implied = 0
+    else:
+        implied = chunk_count(info.intermediate_len, info.chunk_size)
+    if implied != info.n_chunks:
         raise CorruptDataError(
             f"chunk count mismatch: header says {info.n_chunks}, "
-            f"lengths imply {len(lengths)}"
+            f"lengths imply {implied}"
         )
-    return tuple(lengths)
 
 
 def plan_decode(info: fmt.ContainerInfo) -> DecodePlan:
@@ -111,17 +116,16 @@ def plan_decode(info: fmt.ContainerInfo) -> DecodePlan:
     chunks; the write offsets are then the prefix sums of the stored
     decoded lengths rather than multiples of ``chunk_size``.
     """
-    lengths = _decode_geometry(info)
-    jobs = []
-    pos = info.payload_offset
-    for i, size in enumerate(info.chunk_sizes):
-        jobs.append(ChunkJob(index=i, offset=pos, length=size))
-        pos += size
-    out_offsets = tuple(accumulate(lengths[:-1], initial=0)) if lengths else ()
+    _check_chunk_geometry(info)
+    bounds = info.payload_bounds.tolist()
+    jobs = tuple(
+        ChunkJob(index=i, offset=bounds[i], length=bounds[i + 1] - bounds[i])
+        for i in range(info.n_chunks)
+    )
     return DecodePlan(
-        jobs=tuple(jobs),
-        out_offsets=out_offsets,
-        out_lengths=lengths,
+        jobs=jobs,
+        out_offsets=info.decoded_starts[:-1],
+        out_lengths=info.decoded_lengths(),
         out_len=info.intermediate_len,
     )
 
@@ -155,34 +159,52 @@ def plan_for_range(info: fmt.ContainerInfo, start: int, stop: int) -> RangePlan:
     offsets for every codec without cross-chunk FCM state.  The subset
     plan runs under any executor unchanged; chunks outside the range are
     never read, verified, or decoded.
+
+    The cost is the overlapping chunks', not the container's: uniform
+    geometry finds the chunk span by division, ragged (v3-indexed)
+    geometry bisects the decoded-start prefix, and payload offsets come
+    from the prefix cached on ``info`` (:attr:`ContainerInfo.payload_bounds`).
     """
     if not 0 <= start <= stop <= info.intermediate_len:
         raise BoundsError(
             f"range [{start}, {stop}) out of bounds for "
             f"{info.intermediate_len} decoded bytes"
         )
-    lengths = _decode_geometry(info)
-    starts = list(accumulate(lengths[:-1], initial=0)) if lengths else []
+    _check_chunk_geometry(info)
     if start == stop:
         empty = DecodePlan(jobs=(), out_offsets=(), out_lengths=(), out_len=0)
         return RangePlan(plan=empty, first_chunk=0,
                          aligned_start=start, start=start, stop=stop)
     # First chunk whose window contains `start`; one past the last chunk
-    # whose window intersects [start, stop).
-    lo = bisect_right(starts, start) - 1
-    hi = bisect_right(starts, stop - 1)
-    payload_starts = fmt.payload_offsets(info)
+    # whose window intersects [start, stop).  `edges` holds the decoded
+    # start of chunks lo..hi-1, then the end of chunk hi-1.
+    if info.index_out_lengths is None:
+        size = info.chunk_size
+        lo, hi = start // size, (stop - 1) // size + 1
+        if hi > info.n_chunks:  # a chunkless header declaring decoded bytes
+            raise CorruptDataError(
+                f"chunk count mismatch: header says {info.n_chunks}, "
+                f"the range needs chunk {hi - 1}"
+            )
+        edges = [min(i * size, info.intermediate_len) for i in range(lo, hi + 1)]
+    else:
+        starts = info.decoded_starts
+        lo = bisect_right(starts, start) - 1
+        hi = bisect_right(starts, stop - 1)
+        edges = starts[lo : hi + 1]
+    bounds = info.payload_bounds[lo : hi + 1].tolist()
     jobs = tuple(
-        ChunkJob(index=i, offset=payload_starts[i], length=info.chunk_sizes[i])
-        for i in range(lo, hi)
+        ChunkJob(index=i, offset=bounds[k], length=bounds[k + 1] - bounds[k])
+        for k, i in enumerate(range(lo, hi))
     )
-    aligned_start = starts[lo]
-    out_offsets = tuple(starts[i] - aligned_start for i in range(lo, hi))
-    out_lengths = tuple(lengths[lo:hi])
-    out_len = sum(out_lengths)
+    aligned_start = edges[0]
     return RangePlan(
-        plan=DecodePlan(jobs=jobs, out_offsets=out_offsets,
-                        out_lengths=out_lengths, out_len=out_len),
+        plan=DecodePlan(
+            jobs=jobs,
+            out_offsets=tuple(e - aligned_start for e in edges[:-1]),
+            out_lengths=tuple(b - a for a, b in zip(edges, edges[1:])),
+            out_len=edges[-1] - aligned_start,
+        ),
         first_chunk=lo,
         aligned_start=aligned_start,
         start=start,

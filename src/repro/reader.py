@@ -117,8 +117,10 @@ class ContainerReader:
 
         Returns a 1-D ndarray (or bytes for raw-bytes containers),
         byte-identical to the same slice of a full decompression.  Only
-        the overlapping chunks are read and decoded.  With
-        ``errors="salvage"`` returns ``(result, report)``.
+        the overlapping chunks are read and decoded, planned from the
+        header parsed at open (a read never re-parses it; each chunk's
+        CRC is still verified).  With ``errors="salvage"`` returns
+        ``(result, report)``.
         """
         self._check_open()
         n = len(self)
@@ -128,12 +130,12 @@ class ContainerReader:
         if errors == "salvage":
             data, _, report = decompress_range_bytes(
                 self._blob, a * size, b * size, workers=self._workers,
-                executor=self._executor, errors="salvage",
+                executor=self._executor, errors="salvage", info=self._info,
             )
             return self._wrap(data), report
         data, _ = decompress_range_bytes(
             self._blob, a * size, b * size, workers=self._workers,
-            executor=self._executor, errors=errors,
+            executor=self._executor, errors=errors, info=self._info,
         )
         return self._wrap(data)
 

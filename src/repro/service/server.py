@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api import compress as api_compress
+from repro.api import resolve_codec
 from repro.bitpack import backend as kernel_backend
 from repro.core import codec_by_id
 from repro.core import container as fmt
@@ -859,20 +860,22 @@ class CompressionServer:
         else:
             array = np.frombuffer(payload, dtype=_DTYPE_BY_CODE[dtype_code])
             data = array.reshape(shape) if shape is not None else array
+        # The request is labelled with the codec resolved here, the one the
+        # container's header will name.
+        chosen = resolve_codec(codec, _DTYPE_BY_CODE.get(dtype_code))
         blob = api_compress(
-            data, codec,
+            data, chosen.name,
             workers=self.config.codec_workers, executor=self._chunk_executor,
         )
-        codec_name = codec_by_id(fmt.inspect_container(blob).codec_id).name
         if payload:
             self.registry.histogram(
                 "compression_ratio", buckets=RATIO_BUCKETS
             ).observe(len(payload) / max(len(blob), 1))
-        return blob, codec_name
+        return blob, chosen.name
 
     def _work_decompress(self, body: bytes) -> tuple[bytes, str]:
         data, info = decompress_bytes(
-            bytes(body),
+            body,
             workers=self.config.codec_workers, executor=self._chunk_executor,
         )
         shape = tuple(info.shape) if info.shape is not None else None
@@ -884,7 +887,7 @@ class CompressionServer:
         )
 
     def _work_inspect(self, body: bytes) -> tuple[bytes, str]:
-        info = fmt.inspect_container(bytes(body))
+        info = fmt.inspect_container(body)
         codec_name = codec_by_id(info.codec_id).name
         payload = json.dumps({
             "version": info.version,

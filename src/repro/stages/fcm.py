@@ -204,15 +204,16 @@ class FCMStage(Stage):
         n = len(values)
         if n == 0:
             return bytes(tail)
-        dist = distances.astype(np.int64)
-        if np.any(dist < 0) or np.any(dist > np.arange(n)):
+        # One unsigned compare bounds every distance: a value that would be
+        # negative as int64 is above any index as uint64.
+        if np.any(distances > np.arange(n, dtype=np.uint64)):
             raise CorruptDataError("FCM distance points before the start of the data")
-        if not dist.any():
+        if not distances.any():
             # No matches recorded — every word is its own root, so the
             # pointer-doubling sweep would be an identity walk.
             words = values
         else:
-            words = values[_resolve_chains(dist)]
+            words = values[_resolve_chains(distances.view(np.int64))]
         return words_to_bytes(np.ascontiguousarray(words, dtype="<u8"), tail)
 
     def max_encoded_len(self, input_len: int) -> int:

@@ -35,7 +35,7 @@ from repro.stages._adaptive import (
     read_split_row,
 )
 from repro.stages._batch import bounds
-from repro.stages._bitmap import compress_bitmap, decompress_bitmap
+from repro.stages._bitmap import compress_bitmap, decompress_bitmap, forward_fill
 from repro.stages._frame import Reader, Writer
 
 
@@ -90,19 +90,14 @@ class RARE(SplitStage):
             return words_to_bytes(words, tail)
         n_kept = reader.u32()
         kept_mask = decompress_bitmap(reader, n)
-        if int(kept_mask.sum()) != n_kept:
+        if np.count_nonzero(kept_mask) != n_kept:
             raise CorruptDataError("RARE bitmap population mismatch")
         tops = unpack_words(reader.raw(packed_size_bytes(n_kept, k)), n_kept, k, wb)
         bottoms = unpack_words(reader.raw(packed_size_bytes(n, wb - k)), n, wb - k, wb)
         reader.expect_exhausted()
-        # Forward-fill: an unkept top piece repeats the previous value's top
-        # piece; the piece before the chunk is 0.
-        counts = np.cumsum(kept_mask)
-        tops_full = np.zeros(n, dtype=dtype)
-        has_prior = counts > 0
-        if n:
-            tops_full[has_prior] = tops[counts[has_prior] - 1]
-        words = (tops_full << (wb - k)) | bottoms
+        # An unkept top piece repeats the previous value's top piece; the
+        # piece before the chunk is 0.
+        words = (forward_fill(kept_mask, tops) << (wb - k)) | bottoms
         return words_to_bytes(words, tail)
 
     # -- batched execution ------------------------------------------------

@@ -190,7 +190,7 @@ class RAZE(SplitStage):
             return np.frombuffer(reader.raw(n * dtype.itemsize), dtype=dtype)
         n_kept = reader.u32()
         kept_mask = decompress_bitmap(reader, n)
-        if int(kept_mask.sum()) != n_kept:
+        if np.count_nonzero(kept_mask) != n_kept:
             raise CorruptDataError("RAZE bitmap population mismatch")
         tops = unpack_words(reader.raw(packed_size_bytes(n_kept, k)), n_kept, k, wb)
         bottoms = unpack_words(reader.raw(packed_size_bytes(n, wb - k)), n, wb - k, wb)
@@ -205,7 +205,7 @@ class RAZE(SplitStage):
             raise CorruptDataError(f"RAZE byte split {kb} out of range")
         n_kept = reader.u32()
         mask = decompress_bitmap(reader, n * kb)
-        if int(mask.sum()) != n_kept:
+        if np.count_nonzero(mask) != n_kept:
             raise CorruptDataError("RAZE bitmap population mismatch")
         nonzero = np.frombuffer(reader.raw(n_kept), dtype=np.uint8)
         bottom = np.frombuffer(reader.raw(n * (word_bytes - kb)), dtype=np.uint8)

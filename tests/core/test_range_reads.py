@@ -9,8 +9,14 @@ even read.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core import container as fmt
@@ -21,9 +27,9 @@ from repro.core.compressor import (
     decompress_bytes,
     decompress_range_bytes,
 )
-from repro.core.plan import plan_for_range
+from repro.core.plan import ChunkJob, DecodePlan, RangePlan, plan_for_range
 from repro.core.trace import TraceCollector
-from repro.errors import BoundsError
+from repro.errors import BoundsError, CorruptDataError
 
 #: kwargs that make each codec's containers chunk-independent (DPratio
 #: needs restart framing; the others are seekable by construction).
@@ -110,6 +116,155 @@ class TestSubsetPlans:
             plan_for_range(info, 10, 9)
         with pytest.raises(BoundsError):
             decompress_range_bytes(blob, 0, len(data) + 1)
+
+
+def _reference_plan_for_range(info, start: int, stop: int) -> RangePlan:
+    """The O(n) planner :func:`plan_for_range` replaced, kept as its
+    oracle: prefix sums over every decoded length, and a walk over the
+    chunk table for the payload offsets, on every call."""
+    if not 0 <= start <= stop <= info.intermediate_len:
+        raise BoundsError(f"range [{start}, {stop}) out of bounds")
+    if info.chunk_size <= 0 and info.intermediate_len > 0:
+        raise CorruptDataError("container header carries a zero chunk size")
+    lengths = info.decoded_lengths()
+    if len(lengths) != info.n_chunks:
+        raise CorruptDataError("chunk count mismatch")
+    starts = list(accumulate(lengths[:-1], initial=0)) if lengths else []
+    if start == stop:
+        empty = DecodePlan(jobs=(), out_offsets=(), out_lengths=(), out_len=0)
+        return RangePlan(plan=empty, first_chunk=0,
+                         aligned_start=start, start=start, stop=stop)
+    lo = bisect_right(starts, start) - 1
+    hi = bisect_right(starts, stop - 1)
+    if info.index_offsets is not None:
+        payload_starts = list(info.index_offsets)
+    else:
+        payload_starts, pos = [], info.payload_offset
+        for size in info.chunk_sizes:
+            payload_starts.append(pos)
+            pos += size
+    jobs = tuple(
+        ChunkJob(index=i, offset=payload_starts[i], length=info.chunk_sizes[i])
+        for i in range(lo, hi)
+    )
+    aligned_start = starts[lo]
+    out_lengths = tuple(lengths[lo:hi])
+    return RangePlan(
+        plan=DecodePlan(
+            jobs=jobs,
+            out_offsets=tuple(starts[i] - aligned_start for i in range(lo, hi)),
+            out_lengths=out_lengths,
+            out_len=sum(out_lengths),
+        ),
+        first_chunk=lo,
+        aligned_start=aligned_start,
+        start=start,
+        stop=stop,
+    )
+
+
+@lru_cache(maxsize=None)
+def _plan_containers() -> dict[str, fmt.ContainerInfo]:
+    """One parsed header per container geometry the planner serves."""
+    rng = np.random.default_rng(2024)
+
+    def walk(n: int, dtype) -> np.ndarray:
+        return np.cumsum(rng.normal(scale=0.01, size=n)).astype(dtype)
+
+    odd = [repro.compress(walk(n, np.float64), "dpratio", fcm="restart")
+           for n in (5_003, 1, 2_049, 9_999)]
+    mixed = [repro.compress(walk(7_001, np.float32), "spratio"),
+             repro.compress(walk(3_333, np.float32), "spspeed"),
+             repro.compress(walk(8_192, np.float32), "spratio")]
+    blobs = {
+        "uniform-v2": repro.compress(walk(41_000, np.float32), "spratio"),
+        "restart-v3": repro.compress(walk(20_500, np.float64), "dpratio",
+                                     fcm="restart"),
+        "ragged-v3": repro.concat(odd),
+        "mixed-v4": repro.concat(mixed),
+    }
+    infos = {kind: fmt.inspect_container(blob) for kind, blob in blobs.items()}
+    assert [infos[k].version for k in blobs] == [2, 3, 3, 4]
+    assert infos["ragged-v3"].index_out_lengths is not None
+    assert len(set(infos["ragged-v3"].index_out_lengths[:-1])) > 1  # ragged
+    return infos
+
+
+class TestPlanMatchesReference:
+    """:func:`plan_for_range` answers in O(1) from prefix sums cached on
+    the parsed header; it must plan exactly what the O(n) walk planned."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["uniform-v2", "restart-v3", "ragged-v3",
+                                 "mixed-v4"]),
+           shape=st.sampled_from(["empty", "single-byte", "boundary",
+                                  "last-chunk", "any"]),
+           data=st.data())
+    def test_equal_plans(self, kind, shape, data):
+        info = _plan_containers()[kind]
+        n = info.intermediate_len
+        edges = list(accumulate(info.decoded_lengths(), initial=0))
+        if shape == "empty":
+            start = stop = data.draw(st.integers(0, n))
+        elif shape == "single-byte":
+            start = data.draw(st.integers(0, n - 1))
+            stop = start + 1
+        elif shape == "boundary":
+            start = data.draw(st.sampled_from(edges))
+            stop = data.draw(st.sampled_from([e for e in edges if e >= start]))
+        elif shape == "last-chunk":
+            start = data.draw(st.integers(edges[-2], n))
+            stop = data.draw(st.integers(start, n))
+        else:
+            start, stop = sorted(data.draw(st.lists(st.integers(0, n),
+                                                    min_size=2, max_size=2)))
+        assert plan_for_range(info, start, stop) == \
+            _reference_plan_for_range(info, start, stop)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["uniform-v2", "restart-v3", "ragged-v3",
+                                 "mixed-v4"]),
+           data=st.data())
+    def test_out_of_bounds_raises_in_both(self, kind, data):
+        info = _plan_containers()[kind]
+        n = info.intermediate_len
+        start, stop = data.draw(st.sampled_from([
+            (-1, 1), (0, n + 1), (n, n + 1), (5, 4), (n + 3, n + 3),
+        ]))
+        for planner in (plan_for_range, _reference_plan_for_range):
+            with pytest.raises(BoundsError):
+                planner(info, start, stop)
+
+    def test_payload_offsets_read_the_cached_prefix(self):
+        for info in _plan_containers().values():
+            walk, pos = [], info.payload_offset
+            for size in info.chunk_sizes:
+                walk.append(pos)
+                pos += size
+            assert fmt.payload_offsets(info) == walk
+            assert info.payload_bounds is info.payload_bounds  # computed once
+            assert info.payload_bounds[-1] == info.total_len
+
+    def test_zero_chunk_size_with_chunks_is_corrupt(self):
+        blob = fmt.build_container(
+            codec_id=get_codec("spspeed").codec_id, dtype_code=fmt.DTYPE_BYTES,
+            original_len=0, intermediate_len=0, chunk_size=0,
+            chunk_payloads=[b"\x00ab"],
+        )
+        info = fmt.inspect_container(blob)
+        with pytest.raises(CorruptDataError, match="zero chunk size"):
+            plan_for_range(info, 0, 0)
+        with pytest.raises(CorruptDataError, match="zero chunk size"):
+            repro.decompress(blob)
+
+    def test_chunkless_header_with_decoded_bytes_is_corrupt(self):
+        blob = fmt.build_container(
+            codec_id=get_codec("spspeed").codec_id, dtype_code=fmt.DTYPE_BYTES,
+            original_len=100, intermediate_len=100, chunk_size=CHUNK_SIZE,
+            chunk_payloads=[],
+        )
+        with pytest.raises(CorruptDataError, match="chunk count mismatch"):
+            decompress_range_bytes(blob, 10, 20)
 
 
 class TestExecutorsOverRanges:

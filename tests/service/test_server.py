@@ -438,6 +438,24 @@ class TestStatsOpcode:
         assert any(k.startswith("compression_ratio")
                    for k in stats["metrics"]["histograms"])
 
+    def test_requests_are_labelled_with_the_container_codec(self, client, rng):
+        """COMPRESS labels by the codec it resolved, which is the one the
+        container names: the dtype default, a case-folded name, and a raw
+        fallback all read back from the header."""
+        cases = [(_walk(rng, 3_000, np.float32), None),
+                 (_walk(rng, 3_000, np.float64), "DPSpeed"),
+                 (rng.bytes(5_000), "spratio")]  # random bytes: raw fallback
+        for data, codec in cases:
+            blob = client.compress(data, codec=codec)
+            info = client.inspect(blob)
+            client.decompress(blob)
+            counters = client.stats()["metrics"]["counters"]
+            for opcode in ("compress", "decompress"):
+                key = (f"requests_total{{codec={info['codec']},opcode={opcode},"
+                       f"outcome=ok}}")
+                assert counters.get(key, 0) >= 1, (key, sorted(counters))
+        assert info["raw_fallback"]
+
     def test_inspect_round_trips_container_metadata(self, client, rng):
         data = _walk(rng, 7_000, np.float64)
         blob = client.compress(data, codec="dpratio")

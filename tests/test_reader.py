@@ -7,6 +7,8 @@ import pytest
 
 import repro
 from repro.archive import Archive, append_archive, write_archive
+from repro.core import container as fmt
+from repro.errors import ChecksumError
 from repro.reader import ContainerReader
 
 
@@ -82,6 +84,64 @@ class TestContainerReader:
     def test_rejects_other_sources(self):
         with pytest.raises(TypeError, match="bytes-like or a path"):
             ContainerReader(123)
+
+
+@pytest.fixture
+def parses(monkeypatch) -> list:
+    """Count every header parse: one entry per ``inspect_container`` call."""
+    calls: list = []
+    original = fmt.inspect_container
+
+    def counting(blob):
+        calls.append(len(blob))
+        return original(blob)
+
+    monkeypatch.setattr(fmt, "inspect_container", counting)
+    return calls
+
+
+class TestParseOnce:
+    """A range read pays for its chunks, not for the header: the reader
+    parses at open and never again, ``decompress_range`` once a call."""
+
+    def test_reader_parses_at_open_only(self, field, blob, parses, tmp_path):
+        path = tmp_path / "field.fprz"
+        path.write_bytes(blob)
+        for source in (blob, path):
+            parses.clear()
+            with ContainerReader(source) as reader:
+                assert len(parses) == 1
+                for a, b in [(0, 10), (4_000, 9_000), (29_990, 30_000)]:
+                    assert np.array_equal(reader[a:b], field[a:b])
+                    assert np.array_equal(reader.read(a, b), field[a:b])
+                _, report = reader.read(100, 200, errors="salvage")
+                assert report.ok
+            assert len(parses) == 1
+
+    def test_decompress_range_parses_once_per_call(self, field, blob, parses):
+        for k, (a, b) in enumerate([(0, 10), (4_000, 9_000), (-7, None)], 1):
+            assert np.array_equal(repro.decompress_range(blob, a, b), field[a:b])
+            assert len(parses) == k
+        repro.decompress_range(blob, 5, 50, errors="salvage")
+        assert len(parses) == 4
+
+    def test_cached_header_still_verifies_chunk_crcs(self, field, blob, tmp_path):
+        path = tmp_path / "field.fprz"
+        path.write_bytes(blob)
+        info = fmt.inspect_container(blob)
+        assert info.chunk_crcs is not None and info.n_chunks > 4
+        chunk = 3  # 2,048 doubles a chunk: elements 6,144..8,191
+        where = fmt.payload_offsets(info)[chunk] + info.chunk_sizes[chunk] // 2
+        with ContainerReader(path) as reader:
+            assert np.array_equal(reader[6_200:6_300], field[6_200:6_300])
+            with open(path, "r+b") as handle:  # the mapping sees the write
+                handle.seek(where)
+                byte = handle.read(1)[0]
+                handle.seek(where)
+                handle.write(bytes([byte ^ 0x40]))
+            with pytest.raises(ChecksumError, match=f"chunk {chunk} "):
+                reader[6_200:6_300]
+            assert np.array_equal(reader[0:100], field[0:100])
 
 
 class TestArchiveRandomAccess:
