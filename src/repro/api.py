@@ -121,10 +121,9 @@ def compress(
         :data:`repro.core.container.DEFAULT_CHUNK_CHECKSUMS`.
     executor:
         Scheduling policy for the chunk jobs — ``"serial"``,
-        ``"threaded"`` (the paper's dynamic worklist), ``"static-blocks"``
-        (contiguous blocked partition), or a prebuilt
+        ``"threaded"`` (the paper's dynamic worklist), or a prebuilt
         :class:`~repro.core.executors.Executor`.  Defaults from
-        ``workers``.  Output bytes are identical under every policy.
+        ``workers``.  Output bytes are identical under either policy.
     trace:
         A :class:`~repro.core.trace.TraceCollector` to fill with
         per-chunk instrumentation (stage timings, stage output sizes,
@@ -136,7 +135,7 @@ def compress(
         ``"restart"`` re-seeds the predictor at every chunk boundary —
         container v3, every chunk independently decodable, enabling
         O(range) :func:`decompress_range`, :func:`concat`, and parallel
-        DPratio under every executor policy.  The price is that matches
+        DPratio under the threaded executor.  The price is that matches
         cannot reach past one chunk: ~1-2% ratio on smooth fields, much
         more when repeats sit further back than ``chunk_size``
         (measured numbers in ALGORITHMS.md).

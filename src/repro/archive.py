@@ -172,9 +172,9 @@ class Archive:
     ) -> np.ndarray | bytes:
         """Decode one member (nothing else is touched).
 
-        ``policy`` takes the full executor vocabulary — ``"serial"``,
-        ``"threaded"``, ``"static-blocks"``, ``"process"``, or a
-        prebuilt :class:`~repro.core.executors.Executor` — exactly like
+        ``policy`` takes the executor vocabulary — ``"serial"``,
+        ``"threaded"``, or a prebuilt
+        :class:`~repro.core.executors.Executor` — exactly like
         :func:`repro.decompress`'s ``executor`` argument.  Passing
         ``start``/``stop`` decodes only that element range (a 1-D
         result; see :func:`repro.decompress_range`), so a small window

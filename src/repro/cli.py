@@ -189,23 +189,18 @@ def _resolve_workers(args: argparse.Namespace) -> int:
 
 def _cmd_bench_measured(args: argparse.Namespace) -> int:
     """The measured path: real engine runs, per-executor and per-chunk."""
-    from repro.core.executors import (
-        EXECUTOR_POLICIES,
-        SCHEDULING_POLICIES,
-        normalize_policy,
-    )
+    from repro.core.executors import SCHEDULING_POLICIES, get_executor
     from repro.harness import format_measured, measure_executors
 
     workers = _resolve_workers(args)
     codec = args.codec or "spratio"
-    data = _bench_sample(codec, args.scale)
+    policies = SCHEDULING_POLICIES
     if args.policy:
         try:
-            policies = (normalize_policy(args.policy, EXECUTOR_POLICIES),)
+            policies = (get_executor(args.policy).policy,)
         except ValueError as exc:
             raise ReproError(str(exc)) from exc
-    else:
-        policies = SCHEDULING_POLICIES
+    data = _bench_sample(codec, args.scale)
     with _pin_backend(args) as active:
         print(f"measured engine runs: codec {codec}, {len(data)} input bytes, "
               f"{workers} worker(s), kernel backend {active.describe()}")
@@ -223,18 +218,9 @@ def _bench_trace(data, codec, workers, policies) -> int:
     from repro.core.trace import TraceCollector
     from repro.metrics import summarize_trace
 
-    # The process policy runs chunks in other address spaces, so
-    # per-chunk traces cannot be collected there; trace the threaded
-    # schedule instead (same batched kernels, same bytes).
-    traced_policy = policies[0]
-    if traced_policy == "process":
-        traced_policy = "threaded"
-        print()
-        print("(per-chunk traces are unavailable under the process "
-              "policy; tracing the threaded schedule instead)")
     collector = TraceCollector()
     repro.compress(data, codec, workers=workers,
-                   executor=traced_policy, trace=collector)
+                   executor=policies[0], trace=collector)
     print()
     print(summarize_trace(collector).render())
     print()
@@ -325,8 +311,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host, port=args.port, max_frame=args.max_frame,
         queue_high_water=args.queue_high_water,
         request_timeout=args.deadline, drain_timeout=args.drain_timeout,
-        job_threads=args.job_threads, codec_workers=args.codec_workers,
-        codec_policy=args.policy, kernel_backend=args.backend,
+        job_threads=args.job_threads, kernel_backend=args.backend,
         stream_window=args.stream_window,
         quota_rate=args.quota_rate, quota_burst=args.quota_burst,
     )
@@ -336,9 +321,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"fprz service listening on {config.host}:{server.port} "
               f"(queue high-water {config.queue_high_water}, "
               f"deadline {config.request_timeout:g}s, "
-              f"{config.job_threads} job threads x "
-              f"{config.codec_workers} codec workers "
-              f"[{config.codec_policy}], "
+              f"{config.job_threads} job threads, "
               f"kernel backend {server._kernel_backend})",
               flush=True)
 
@@ -693,8 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "replaying a figure")
     p.add_argument("--policy", "--executor", dest="policy", default=None,
                    help="executor policy for measured runs: serial | "
-                        "threaded | static-blocks | process "
-                        "(default: all three thread schedules)")
+                        "threaded (default: both)")
     p.add_argument("--workers", type=int, default=None,
                    help="workers for measured parallel policies "
                         "(default: CPU count, capped at 8)")
@@ -767,14 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-frame", type=int, default=DEFAULT_MAX_FRAME,
                    help="frame body limit in bytes (both directions)")
     p.add_argument("--job-threads", type=int, default=4,
-                   help="concurrent codec jobs")
-    p.add_argument("--codec-workers", type=int, default=1,
-                   help="chunk-level workers inside each codec job "
-                        "(>1 uses the pooled threaded executor)")
-    p.add_argument("--policy", default="threaded",
-                   help="chunk-executor policy inside codec jobs: "
-                        "threaded (pooled worklist) | process (shared "
-                        "GIL-free process pool)")
+                   help="concurrent codec jobs (each runs its chunks "
+                        "serially)")
     p.add_argument("--drain-timeout", type=float, default=10.0,
                    help="seconds to wait for in-flight jobs on shutdown")
     p.add_argument("--backend", default=None,

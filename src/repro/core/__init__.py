@@ -8,8 +8,8 @@
 * :mod:`repro.core.codecs` — SPspeed / SPratio / DPspeed / DPratio
   definitions and the codec registry.
 * :mod:`repro.core.plan` — precomputed chunk jobs and prefix-sum offsets.
-* :mod:`repro.core.executors` — pluggable scheduling policies (serial /
-  threaded worklist / static blocks, paper §3.1).
+* :mod:`repro.core.executors` — the chunk executors (serial reference and
+  the threaded worklist of paper §3.1).
 * :mod:`repro.core.trace` — per-chunk instrumentation records.
 * :mod:`repro.core.compressor` — the plan/execute engine tying the above
   together.
@@ -33,7 +33,6 @@ from repro.core.executors import (
     SCHEDULING_POLICIES,
     Executor,
     get_executor,
-    normalize_policy,
 )
 from repro.core.plan import ChunkJob, DecodePlan, EncodePlan, plan_decode, plan_encode
 from repro.core.salvage import ChunkFailure, SalvageReport, merge_ranges, ranges_cover
@@ -63,7 +62,6 @@ __all__ = [
     "get_executor",
     "inspect_container",
     "merge_ranges",
-    "normalize_policy",
     "ranges_cover",
     "plan_decode",
     "plan_encode",

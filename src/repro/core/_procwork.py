@@ -2,33 +2,23 @@
 
 A *block* is a contiguous, ascending run of planned chunks that share one
 pipeline.  :func:`encode_block` and :func:`decode_block` are the only
-chunk loops of the engine: the thread executors call them from the jobs
-:mod:`repro.core.compressor` builds (wrapped with trace records), and the
-shared-memory process pool calls them from :func:`proc_encode_block` /
-:func:`proc_decode_block` (wrapped with shared-memory copies).  They live
-here, not in the engine, so worker processes import them without
-importing the engine.
-
-Everything a worker process runs must be picklable by reference
-(module-level functions, plain-tuple tasks); bulk bytes travel through
-named shared memory, only the small task descriptions and the results
-cross the pipe.
+chunk loops of the engine: :mod:`repro.core.compressor` wraps them in
+the jobs it hands to its executor (with trace records when asked), and
+:class:`~repro.core.incremental.StreamingCompressor` encodes each batch
+of completed chunks through :func:`encode_block` too.
 
 Error contract: :func:`verify_chunk` is the one place a chunk CRC is
 checked and :func:`decode_chunk_guarded` the one place a foreign
 exception becomes :class:`CorruptDataError`, always with the ``chunk i
-(container bytes a..b)`` prefix.  Failures cross the process boundary as
-``(index, type_name, message)`` triples and are rebuilt from
-:mod:`repro.errors` (:func:`rebuild_error`), so a corrupt chunk raises
-the byte-identical error under every executor.
+(container bytes a..b)`` prefix, so a corrupt chunk raises the
+byte-identical error under every executor and worker count.  Salvage
+records failures as ``(index, type_name, message)`` triples.
 """
 
 from __future__ import annotations
 
 import struct
-from multiprocessing import shared_memory
 
-from repro import errors as _errors
 from repro.core import container as fmt
 from repro.core.codecs import Codec, codec_by_id
 from repro.errors import ChecksumError, CorruptDataError, ReproError
@@ -39,46 +29,6 @@ from repro.errors import ChecksumError, CorruptDataError, ReproError
 #: bounds checks, never papered over after the fact.
 FOREIGN_ERRORS = (ValueError, TypeError, IndexError, KeyError, OverflowError,
                   ZeroDivisionError, struct.error)
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without adopting its lifetime.
-
-    On Python < 3.13 ``SharedMemory(name=...)`` registers the segment
-    with the resource tracker even for attach-only use.  Under the fork
-    start method that tracker is *shared* with the parent and its cache
-    is a set, so an unregister issued from this worker would erase the
-    parent's own entry and make the parent's later ``unlink`` print a
-    ``KeyError`` traceback from the tracker.  The attach must therefore
-    never reach the tracker at all: 3.13+ has ``track=False`` for this,
-    and older versions get the equivalent by suppressing ``register``
-    for the duration of the constructor (workers run tasks serially,
-    so the swap is not racy).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def rebuild_error(type_name: str, message: str) -> ReproError:
-    """Reconstruct a worker-process error in the parent.
-
-    Unknown or non-:class:`ReproError` type names collapse to
-    :class:`CorruptDataError` — the parent never raises a foreign type.
-    """
-    cls = getattr(_errors, type_name, None)
-    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
-        cls = CorruptDataError
-    return cls(message)
 
 
 def chunk_codec(codec: Codec, info: fmt.ContainerInfo, index: int) -> tuple[Codec, bool]:
@@ -187,55 +137,3 @@ def decode_block(pipeline, plan, lo: int, hi: int, payloads: list, out, crcs,
             continue
         out[offsets[i] : offsets[i] + lengths[i]] = chunk
     return False
-
-
-def proc_encode_block(task) -> tuple[list | None, tuple[str, str] | None]:
-    """Run :func:`encode_block` inside a worker process.
-
-    ``task`` is ``(shm_name, codec_name, fcm_restart, batch, windows)``
-    with ``windows`` the block's ``(offset, end)`` spans of the shared
-    input.  Returns ``(payloads, None)``, or ``(None, (type_name,
-    message))`` for the block's first failing chunk.
-    """
-    shm_name, codec_name, fcm_restart, batch, windows = task
-    from repro.core.codecs import get_codec
-
-    shm = _attach(shm_name)
-    try:
-        # Copy the windows out so the buffer releases cleanly on close.
-        chunks = [bytes(shm.buf[offset:end]) for offset, end in windows]
-    finally:
-        shm.close()
-    pipeline = get_codec(codec_name).make_pipeline(fcm_restart)
-    try:
-        return encode_block(pipeline, chunks, batch), None
-    except Exception as exc:
-        return None, (type(exc).__name__, str(exc))
-
-
-def proc_decode_block(task) -> list:
-    """Run :func:`decode_block` inside a worker process.
-
-    ``task`` is ``(in_name, out_name, codec_name, fcm_restart, batch,
-    plan, crcs)`` where ``plan`` is the block's slice of the decode plan
-    (global chunk indices, container read windows, output write
-    offsets).  Decoded chunks land in the output shared memory; returns
-    the ``(index, type_name, message)`` triple of every failing chunk.
-    """
-    in_name, out_name, codec_name, fcm_restart, batch, plan, crcs = task
-    from repro.core.codecs import get_codec
-
-    in_shm = _attach(in_name)
-    try:
-        payloads = [bytes(in_shm.buf[job.offset : job.end]) for job in plan.jobs]
-    finally:
-        in_shm.close()
-    pipeline = get_codec(codec_name).make_pipeline(fcm_restart)
-    failures: list = []
-    out_shm = _attach(out_name)
-    try:
-        decode_block(pipeline, plan, 0, plan.n_chunks, payloads, out_shm.buf,
-                     crcs, batch, failures)
-    finally:
-        out_shm.close()
-    return failures

@@ -7,14 +7,12 @@ into the layers §3.1 implies:
   window from prefix sums over the chunk lengths — pure arithmetic, no
   data movement;
 * the **executor** (:mod:`repro.core.executors`) decides *who* runs each
-  block of chunks and *when* — serially, through a dynamic worklist of
-  threads (the paper's OpenMP loop), over a static blocked partition
-  (the CPU analogue of a block-per-chunk GPU launch), or in a pool of
-  worker processes.  Every schedule runs the same block job
+  block of chunks and *when* — serially, or through a dynamic worklist
+  of threads (the paper's OpenMP loop).  Both run the same block job
   (:func:`~repro.core._procwork.encode_block` /
   :func:`~repro.core._procwork.decode_block`), and chunks are
   independent by construction, so the output bytes are identical under
-  every policy and worker count;
+  either policy and every worker count;
 * **assembly** writes the container (or the decoded output) once, at
   the plan's prefix-sum offsets.
 
@@ -177,27 +175,6 @@ def _trace_block(trace: TraceCollector, worker: int, jobs, original_lens,
         ))
 
 
-def _execute(engine: Executor, blocks, make_worker, pool_method: str, *pool_args):
-    """Run one job per block.
-
-    Thread executors run the jobs ``make_worker`` builds.  The process
-    pool cannot ship those closures, so it runs the same block jobs in
-    its workers through ``pool_method`` — the engine's only
-    process-executor branch.
-    """
-    if getattr(engine, "kind", None) == "process":
-        return getattr(engine, pool_method)(blocks, *pool_args)
-    return engine.run(len(blocks), make_worker)
-
-
-def _release(engine: Executor, executor) -> None:
-    """Close an executor this call built from a policy string (a process
-    pool owns worker processes); a caller-built executor stays open."""
-    close = getattr(engine, "close", None)
-    if engine is not executor and close is not None:
-        close()
-
-
 def _encode(engine: Executor, codec: Codec, restart: bool, plan, data,
             batch: bool | None, trace: TraceCollector | None) -> list[bytes]:
     """Compress every chunk of ``plan`` over ``data``; payloads in plan order."""
@@ -225,8 +202,7 @@ def _encode(engine: Executor, codec: Codec, restart: bool, plan, data,
 
         return encode_job
 
-    per_block = _execute(engine, blocks, make_worker, "encode_blocks",
-                         data, plan, codec.name, restart, batched)
+    per_block = engine.run(len(blocks), make_worker)
     return [payload for block in per_block for payload in block]
 
 
@@ -252,15 +228,15 @@ def compress_bytes(
     pass with the v1/v2 cross-chunk layout — best ratio, because matches
     may reach arbitrarily far back; ``"restart"`` re-seeds the predictor
     at every chunk boundary and runs FCM *inside* the chunk pipeline —
-    container v3, every chunk independently decodable, every executor
-    policy usable, :func:`decompress_range_bytes` O(range).  Restart
-    caps the match distance at one chunk, so its ratio cost is
-    data-dependent: ~1-2% on smooth fields, large on data whose repeats
-    sit further back than ``chunk_size`` (measured numbers in
-    ALGORITHMS.md).
+    container v3, every chunk independently decodable and parallel
+    under the threaded executor, :func:`decompress_range_bytes`
+    O(range).  Restart caps the match distance at one chunk, so its
+    ratio cost is data-dependent: ~1-2% on smooth fields, large on data
+    whose repeats sit further back than ``chunk_size`` (measured numbers
+    in ALGORITHMS.md).
 
     ``executor`` selects the scheduling policy (``"serial"``,
-    ``"threaded"``, ``"static-blocks"``, ``"process"``, or a prebuilt
+    ``"threaded"``, or a prebuilt
     :class:`~repro.core.executors.Executor`); when omitted, ``workers``
     picks serial (1) or the threaded worklist (>1).  ``batch`` controls
     columnar chunk batching — each worker runs whole *blocks* of chunks
@@ -291,15 +267,12 @@ def compress_bytes(
                        direction="compress")
     restart = fcm == "restart" and codec.global_stage_factory is not None
     intermediate = data
-    try:
-        global_stage = None if restart else codec.make_global_stage()
-        if global_stage is not None:
-            intermediate = _run_global_stage(global_stage, "encode", data, trace)
-        payloads = _encode(engine, codec, restart,
-                           plan_encode(len(intermediate), chunk_size),
-                           intermediate, batch, trace)
-    finally:
-        _release(engine, executor)
+    global_stage = None if restart else codec.make_global_stage()
+    if global_stage is not None:
+        intermediate = _run_global_stage(global_stage, "encode", data, trace)
+    payloads = _encode(engine, codec, restart,
+                       plan_encode(len(intermediate), chunk_size),
+                       intermediate, batch, trace)
     blob = fmt.build_container(
         codec_id=codec.codec_id,
         dtype_code=dtype_code,
@@ -402,8 +375,7 @@ def _decode(engine: Executor, codec: Codec, info: fmt.ContainerInfo, plan,
 
         return decode_job
 
-    _execute(engine, blocks, make_worker, "decode_blocks",
-             blob, plan, codec, info, batched, out, failures)
+    engine.run(len(blocks), make_worker)
     return out
 
 
@@ -576,10 +548,7 @@ def _decompress(blob, span, *, workers, executor, trace, errors, batch,
     if trace is not None:
         trace.annotate(policy=engine.policy, workers=engine.workers,
                        direction=direction)
-    try:
-        buf = _decode(engine, codec, info, plan, blob, batch, failures, trace)
-    finally:
-        _release(engine, executor)
+    buf = _decode(engine, codec, info, plan, blob, batch, failures, trace)
     return _finish(info, codec, buf, plan, base, span, failures, trace)
 
 

@@ -11,12 +11,14 @@ deterministically:
   writing side but were still transformed — both passes are charged);
 * :class:`WorklistSimulator` plays the dynamic worklist (greedy:
   whichever worker frees first pops the next chunk) or a static blocked
-  partition against ``n_workers`` execution slots;  policies share one
-  vocabulary with the *real* executors in :mod:`repro.core.executors`
-  (``threaded`` is the dynamic worklist, ``static-blocks`` the blocked
-  partition, and the partition boundaries come from the same
-  :func:`~repro.core.executors.static_block_bounds`), so a modeled
-  schedule and a measured run describe the same strategy;
+  partition against ``n_workers`` execution slots.  ``threaded`` names
+  the dynamic worklist, as it does for the real executor in
+  :mod:`repro.core.executors`, and ``static-blocks`` the blocked
+  partition, whose boundaries come from the same
+  :func:`~repro.core.executors.static_block_bounds` the engine splits
+  batched blocks with.  The simulator owns this vocabulary
+  (:func:`normalize_policy`), so a modeled schedule and a measured run
+  describe the same strategy;
 * :func:`lookback_write_completion` adds the §3.1 write-position chain on
   top of a schedule: chunk *i* may only learn its output offset after
   chunk *i-1* posts its compressed size, so stragglers can serialise the
@@ -35,8 +37,31 @@ import numpy as np
 
 from repro.core.chunking import CHUNK_SIZE, iter_chunks
 from repro.core.codecs import Codec
-from repro.core.executors import normalize_policy, static_block_bounds
+from repro.core.executors import static_block_bounds
 from repro.device.machines import Device
+
+
+#: Canonical names of the simulated schedules.
+SIMULATED_POLICIES = ("serial", "threaded", "static-blocks")
+
+#: The simulator's historical names for its schedules.
+_POLICY_ALIASES = {
+    "dynamic": "threaded",
+    "worklist": "threaded",
+    "static": "static-blocks",
+}
+
+
+def normalize_policy(name: str) -> str:
+    """Map a simulated schedule's name or alias to its canonical form."""
+    key = name.lower().replace("_", "-")
+    key = _POLICY_ALIASES.get(key, key)
+    if key not in SIMULATED_POLICIES:
+        raise ValueError(
+            f"unknown scheduling policy {name!r}; "
+            f"choose from {', '.join(SIMULATED_POLICIES)}"
+        )
+    return key
 
 
 @dataclass(frozen=True)
@@ -105,10 +130,9 @@ class WorklistSimulator:
     def simulate(self, work: np.ndarray, policy: str = "dynamic") -> Schedule:
         """Play ``work`` under a scheduling policy.
 
-        Policy names are the executor vocabulary of
-        :mod:`repro.core.executors` — ``threaded`` (alias ``dynamic``),
-        ``static-blocks`` (alias ``static``), or ``serial`` (one worker
-        regardless of ``n_workers``).
+        Policy names are :data:`SIMULATED_POLICIES` — ``threaded``
+        (alias ``dynamic``), ``static-blocks`` (alias ``static``), or
+        ``serial`` (one worker regardless of ``n_workers``).
         """
         policy = normalize_policy(policy)
         if policy == "serial":

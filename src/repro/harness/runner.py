@@ -7,9 +7,9 @@ the device, so they are computed once and cached; throughputs come from
 the device model per machine.
 
 :func:`measure_executors` is the *measured* complement: it times this
-reproduction's own engine under each real scheduling policy (serial /
-threaded worklist / static blocks) and reports per-policy throughput
-rows, so the recorded numbers always say which executor produced them.
+reproduction's own engine under each executor policy (serial / threaded
+worklist) and reports per-policy throughput rows, so the recorded
+numbers always say which executor produced them.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ import numpy as np
 import repro
 from repro.baselines import BaselineCompressor, competitors_for
 from repro.core.compressor import compress_bytes, decompress_bytes
-from repro.core.executors import (
-    EXECUTOR_POLICIES,
-    SCHEDULING_POLICIES,
-    get_executor,
-    normalize_policy,
-)
+from repro.core.executors import SCHEDULING_POLICIES
 from repro.datasets import dp_suite, sp_suite
 from repro.device import Device
 from repro.device.model import modeled_throughput
@@ -170,7 +165,7 @@ def measure_executors(
     workers: int = 4,
     runs: int = 3,
 ) -> list[MeasuredRow]:
-    """Time the real engine under each scheduling policy on ``data``.
+    """Time the real engine under each executor policy on ``data``.
 
     Every row records the executor policy and worker count that produced
     it — measured numbers are never reported without their execution
@@ -181,34 +176,24 @@ def measure_executors(
     rows = []
     reference: bytes | None = None
     for policy in policies:
-        policy = normalize_policy(policy, EXECUTOR_POLICIES)
         n_workers = 1 if policy == "serial" else workers
-        # The process policy owns worker OS processes; build the executor
-        # once per row so the pool warm-up is not timed into every run.
-        engine = get_executor(policy, n_workers) if policy == "process" else policy
-        try:
-            blob = compress_bytes(data, codec, workers=n_workers,
-                                  executor=engine)
-            if reference is None:
-                reference = blob
-            elif blob != reference:
-                raise AssertionError(
-                    f"executor {policy!r} produced different bytes than "
-                    f"{policies[0]!r} for codec {codec_name!r}"
-                )
-            compress_bps = measure_throughput(
-                lambda: compress_bytes(data, codec, workers=n_workers,
-                                       executor=engine),
-                len(data), runs=runs,
+        blob = compress_bytes(data, codec, workers=n_workers, executor=policy)
+        if reference is None:
+            reference = blob
+        elif blob != reference:
+            raise AssertionError(
+                f"executor {policy!r} produced different bytes than "
+                f"{policies[0]!r} for codec {codec_name!r}"
             )
-            decompress_bps = measure_throughput(
-                lambda: decompress_bytes(blob, workers=n_workers,
-                                         executor=engine),
-                len(data), runs=runs,
-            )
-        finally:
-            if engine is not policy:
-                engine.close()
+        compress_bps = measure_throughput(
+            lambda: compress_bytes(data, codec, workers=n_workers,
+                                   executor=policy),
+            len(data), runs=runs,
+        )
+        decompress_bps = measure_throughput(
+            lambda: decompress_bytes(blob, workers=n_workers, executor=policy),
+            len(data), runs=runs,
+        )
         rows.append(MeasuredRow(
             codec=codec.name,
             policy=policy,

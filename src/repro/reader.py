@@ -48,7 +48,7 @@ class ContainerReader:
     workers / executor:
         Scheduling for the chunk decodes of each read, with the same
         vocabulary as :func:`repro.decompress` (``"serial"``,
-        ``"threaded"``, ``"static-blocks"``, ``"process"``).
+        ``"threaded"``, or a prebuilt executor).
     """
 
     def __init__(

@@ -12,11 +12,9 @@ Architecture — the same skeleton any inference-serving stack needs:
   Each connection additionally has a bytes-in-flight cap, so one
   client cannot monopolise admission with huge queued payloads.
 * **Worker-pool offload**: codec work runs in a thread pool off the
-  event loop; inside each job, chunk-level parallelism uses the
-  engine's own executors (:mod:`repro.core.executors` — a shared
-  :class:`~repro.core.executors.PooledThreadedExecutor` when
-  ``codec_workers > 1``), so the serving layer and the library run the
-  exact same compression code.
+  event loop, one request per job thread; each job runs its chunks
+  serially through the library's own engine, so the serving layer and
+  the library run the exact same compression code.
 * **Deadlines**: every job is wrapped in ``asyncio.wait_for``.  Past
   the deadline the response is a typed DEADLINE error and the awaiting
   task is cancelled; the connection itself stays usable.  (The worker
@@ -53,12 +51,6 @@ from repro.core import codec_by_id
 from repro.core import container as fmt
 from repro.core.codecs import codec_for, get_codec
 from repro.core.compressor import decompress_bytes
-from repro.core.executors import (
-    Executor,
-    PooledThreadedExecutor,
-    SharedMemoryProcessExecutor,
-    normalize_policy,
-)
 from repro.core.incremental import StreamingCompressor, StreamingDecompressor
 from repro.errors import (
     FormatError,
@@ -111,15 +103,9 @@ class ServiceConfig:
     request_timeout: float = 30.0
     #: Seconds ``stop(drain=True)`` waits for in-flight jobs.
     drain_timeout: float = 10.0
-    #: Concurrent codec jobs (thread-pool size).
+    #: Concurrent codec jobs (thread-pool size); each job runs its
+    #: chunks serially.
     job_threads: int = 4
-    #: Chunk-level workers *inside* each codec job; >1 routes chunk work
-    #: through a shared :class:`~repro.core.executors.PooledThreadedExecutor`.
-    codec_workers: int = 1
-    #: Executor policy for the chunk-level workers: ``"threaded"`` (the
-    #: pooled worklist) or ``"process"`` (one shared GIL-free
-    #: :class:`~repro.core.executors.SharedMemoryProcessExecutor`).
-    codec_policy: str = "threaded"
     #: Backoff hint carried in BUSY responses (milliseconds).  Clients
     #: with a :class:`~repro.service.resilience.RetryPolicy` treat it as
     #: a lower bound on their next delay; 0 sends the hint-less
@@ -210,7 +196,6 @@ class CompressionServer:
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._pool: ThreadPoolExecutor | None = None
-        self._chunk_executor: Executor | None = None
         self._conns: set[_Connection] = set()
         self._jobs: set[asyncio.Task] = set()
         self._queue_depth = 0
@@ -233,10 +218,6 @@ class CompressionServer:
         """Bind the listening socket and start serving connections."""
         cfg = self.config
         self._stopped = asyncio.Event()
-        try:
-            policy = normalize_policy(cfg.codec_policy, ("threaded", "process"))
-        except ValueError as exc:
-            raise ServiceError(str(exc)) from exc
         if cfg.kernel_backend is not None:
             try:
                 self._prev_backend_pin = kernel_backend.set_backend(
@@ -250,14 +231,6 @@ class CompressionServer:
         self._pool = ThreadPoolExecutor(
             max_workers=cfg.job_threads, thread_name_prefix="repro-svc"
         )
-        if policy == "process":
-            # One shared GIL-free pool for every codec job; its worker
-            # processes persist across requests like the pooled threads.
-            self._chunk_executor = SharedMemoryProcessExecutor(
-                max(cfg.codec_workers, 1)
-            )
-        elif cfg.codec_workers > 1:
-            self._chunk_executor = PooledThreadedExecutor(cfg.codec_workers)
         self._server = await asyncio.start_server(
             self._handle_conn, cfg.host, cfg.port
         )
@@ -284,11 +257,6 @@ class CompressionServer:
             conn.writer.close()
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
-        if isinstance(
-            self._chunk_executor,
-            (PooledThreadedExecutor, SharedMemoryProcessExecutor),
-        ):
-            self._chunk_executor.close()
         if self._prev_backend_pin is not False:
             # Undo the startup backend pin (it is process-wide state and
             # embedded ServerThread uses share the process with tests).
@@ -863,10 +831,7 @@ class CompressionServer:
         # The request is labelled with the codec resolved here, the one the
         # container's header will name.
         chosen = resolve_codec(codec, _DTYPE_BY_CODE.get(dtype_code))
-        blob = api_compress(
-            data, chosen.name,
-            workers=self.config.codec_workers, executor=self._chunk_executor,
-        )
+        blob = api_compress(data, chosen.name)
         if payload:
             self.registry.histogram(
                 "compression_ratio", buckets=RATIO_BUCKETS
@@ -874,10 +839,7 @@ class CompressionServer:
         return blob, chosen.name
 
     def _work_decompress(self, body: bytes) -> tuple[bytes, str]:
-        data, info = decompress_bytes(
-            body,
-            workers=self.config.codec_workers, executor=self._chunk_executor,
-        )
+        data, info = decompress_bytes(body)
         shape = tuple(info.shape) if info.shape is not None else None
         return (
             proto.encode_array_body(
@@ -921,8 +883,6 @@ class CompressionServer:
                 "features": list(proto.FEATURES),
                 "request_timeout": cfg.request_timeout,
                 "job_threads": cfg.job_threads,
-                "codec_workers": cfg.codec_workers,
-                "codec_policy": cfg.codec_policy,
                 "kernel_backend": self._kernel_backend,
             },
             "metrics": self.registry.snapshot(),

@@ -22,7 +22,7 @@ from tests.bitpack.test_backend import ALT_BACKENDS, _ensure_pure_backend
 
 _ensure_pure_backend()
 
-POLICIES = ("serial", "threaded", "static-blocks")
+POLICIES = ("serial", "threaded")
 
 
 def _dataset(dtype):

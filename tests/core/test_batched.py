@@ -1,10 +1,10 @@
-"""Batched (columnar) stage execution and the GIL-free process executor.
+"""Batched (columnar) stage execution and its error semantics.
 
 The batching contract is strict byte-identity: ``batch=True`` must
 produce the same container bytes as the per-chunk loop for every codec
-and every input geometry, and the process executor must honour the same
-contract plus serial error semantics (type, message, lowest failing
-chunk).  These tests sweep the geometry space — chunk counts 1/2/17, a
+and every input geometry, and a batched or threaded decode must fail
+with the serial error (type, message, lowest failing chunk).  These
+tests sweep the geometry space — chunk counts 1/2/17/29, a
 ragged final chunk, empty input — and pin the batch fallback of stages
 without a 2D kernel to the per-chunk loop.
 """
@@ -20,13 +20,6 @@ from repro.core import container as fmt
 from repro.core.chunking import CHUNK_SIZE
 from repro.core.codecs import CODECS, get_codec
 from repro.core.compressor import compress_bytes, decompress_bytes
-from repro.core.executors import (
-    EXECUTOR_POLICIES,
-    SharedMemoryProcessExecutor,
-    get_executor,
-    normalize_policy,
-    resolve_executor,
-)
 from repro.errors import ChecksumError, ReproError
 from repro.stages import ByteShuffle, XorDelta
 
@@ -104,78 +97,6 @@ class TestBatchFallbackRegression:
         ]
 
 
-class TestProcessPolicyNames:
-    def test_process_in_executor_vocabulary(self):
-        assert "process" in EXECUTOR_POLICIES
-        assert normalize_policy("process", EXECUTOR_POLICIES) == "process"
-        assert normalize_policy("processes", EXECUTOR_POLICIES) == "process"
-        assert normalize_policy("multiprocess", EXECUTOR_POLICIES) == "process"
-
-    def test_process_not_a_scheduling_policy(self):
-        # The device simulator's vocabulary stays thread-only.
-        with pytest.raises(ValueError, match="unknown scheduling policy"):
-            normalize_policy("process")
-
-    def test_get_executor_builds_process_pool(self):
-        engine = get_executor("process", 2)
-        assert isinstance(engine, SharedMemoryProcessExecutor)
-        assert engine.policy == "process"
-        engine.close()
-
-    def test_resolve_passes_prebuilt_through(self):
-        with SharedMemoryProcessExecutor(1) as engine:
-            assert resolve_executor(engine, 4) is engine
-
-
-class TestProcessExecutorIdentity:
-    """Mirrors TestPolicyEquivalence for the process policy."""
-
-    @pytest.mark.parametrize("name", sorted(CODECS))
-    def test_byte_identical_to_serial(self, name, rng):
-        codec = get_codec(name)
-        data = _sample(rng, codec.dtype, 60_000)
-        reference = compress_bytes(data, codec, executor="serial")
-        with SharedMemoryProcessExecutor(2) as engine:
-            blob = compress_bytes(data, codec, executor=engine)
-            assert blob == reference
-            back, _ = decompress_bytes(blob, executor=engine)
-            assert back == data
-
-    def test_empty_input(self):
-        codec = get_codec("spspeed")
-        with SharedMemoryProcessExecutor(2) as engine:
-            blob = compress_bytes(b"", codec, executor=engine)
-            assert blob == compress_bytes(b"", codec, executor="serial")
-            back, _ = decompress_bytes(blob, executor=engine)
-            assert back == b""
-
-    def test_policy_string_builds_and_closes_own_pool(self, rng):
-        codec = get_codec("spratio")
-        data = _sample(rng, codec.dtype, 40_000)
-        blob = compress_bytes(data, codec, executor="process", workers=2)
-        assert blob == compress_bytes(data, codec, executor="serial")
-        back, _ = decompress_bytes(blob, executor="process", workers=2)
-        assert back == data
-
-    def test_raw_fallback_roundtrip(self, rng):
-        data = rng.bytes(50_000)  # random bytes defeat every stage
-        codec = get_codec("spspeed")
-        with SharedMemoryProcessExecutor(2) as engine:
-            blob = compress_bytes(data, codec, executor=engine)
-            assert fmt.inspect_container(blob).raw_fallback
-            back, _ = decompress_bytes(blob, executor=engine)
-            assert back == data
-
-    def test_closed_executor_rejects_work(self, rng):
-        engine = SharedMemoryProcessExecutor(1)
-        engine.close()
-        engine.close()  # idempotent
-        codec = get_codec("spspeed")
-        data = _sample(rng, codec.dtype, 40_000)
-        with pytest.raises(RuntimeError, match="closed"):
-            compress_bytes(data, codec, executor=engine)
-
-
 def _corrupt_chunk(blob: bytes, chunk_index: int) -> bytes:
     """Flip a payload byte inside one chunk of a v2 container."""
     info = fmt.inspect_container(blob)
@@ -185,8 +106,9 @@ def _corrupt_chunk(blob: bytes, chunk_index: int) -> bytes:
     return bytes(mutated)
 
 
-class TestProcessErrorSemantics:
-    """Errors must cross the process boundary with serial fidelity."""
+class TestThreadedErrorSemantics:
+    """Threaded decodes fail with the serial error: type, message, and
+    the lowest failing chunk, however the blocks fall across threads."""
 
     @pytest.fixture
     def container(self, rng):
@@ -202,20 +124,23 @@ class TestProcessErrorSemantics:
             decompress_bytes(blob, **kwargs)
         return type(excinfo.value), str(excinfo.value)
 
-    def test_same_error_as_serial(self, container):
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_same_error_as_serial(self, container, batch):
         bad = _corrupt_chunk(container, 2)
         serial = self._error_of(bad, executor="serial")
-        with SharedMemoryProcessExecutor(2) as engine:
-            assert self._error_of(bad, executor=engine) == serial
+        assert self._error_of(bad, executor="threaded", workers=2,
+                              batch=batch) == serial
         assert serial[0] is ChecksumError
         assert "chunk 2" in serial[1]
 
-    def test_lowest_failing_chunk_wins(self, container):
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_lowest_failing_chunk_wins(self, container, workers):
         bad = _corrupt_chunk(_corrupt_chunk(container, 3), 1)
         serial = self._error_of(bad, executor="serial")
         assert "chunk 1" in serial[1]
-        with SharedMemoryProcessExecutor(2) as engine:
-            assert self._error_of(bad, executor=engine) == serial
+        for batch in (True, False):
+            assert self._error_of(bad, executor="threaded", workers=workers,
+                                  batch=batch) == serial
 
     def test_batched_blocks_report_serial_errors(self, container):
         bad = _corrupt_chunk(container, 2)
@@ -223,11 +148,11 @@ class TestProcessErrorSemantics:
         assert self._error_of(bad, executor="serial", batch=True) == serial
         assert self._error_of(bad, executor="threaded", workers=3) == serial
 
-    def test_salvage_works_under_process_executor(self, container, rng):
+    def test_salvage_works_under_threaded_executor(self, container):
         bad = _corrupt_chunk(container, 2)
-        with SharedMemoryProcessExecutor(2) as engine:
-            data, info, report = decompress_bytes(
-                bad, executor=engine, errors="salvage"
-            )
+        data, info, report = decompress_bytes(
+            bad, executor="threaded", workers=2, errors="salvage"
+        )
+        assert [f.index for f in report.failures] == [2]
         assert report.damaged_ranges  # chunk 2 was zero-filled
         assert len(data) == info.original_len

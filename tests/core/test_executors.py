@@ -1,32 +1,34 @@
 """Tests for the plan/execute engine: policies, plans, traces, fallbacks.
 
 The engine's core invariant — compressed output is byte-identical under
-every scheduling policy and worker count — is asserted here across all
-codecs and input shapes, alongside the thread-locality guarantee a
+both executor policies and every worker count — is asserted here across
+all codecs and input shapes, alongside the thread-locality guarantee a
 stateful stage depends on, the laziness of the whole-input raw
 fallback, and the per-chunk trace contents.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core import container as fmt
 from repro.core.chunking import CHUNK_SIZE
 from repro.core.codecs import CODECS, get_codec
 from repro.core.compressor import compress_bytes, decompress_bytes
 from repro.core.executors import (
     SCHEDULING_POLICIES,
-    PooledThreadedExecutor,
     SerialExecutor,
-    StaticBlockExecutor,
     ThreadedExecutor,
     get_executor,
-    normalize_policy,
     resolve_executor,
     static_block_bounds,
 )
@@ -39,31 +41,52 @@ def _sample(rng, dtype, n) -> bytes:
     return np.cumsum(rng.normal(scale=0.01, size=n)).astype(dtype).tobytes()
 
 
+#: Policy names and aliases the engine no longer accepts.
+RETIRED_POLICIES = ("static-blocks", "process", "dynamic", "worklist",
+                    "static", "processes", "multiprocess")
+
+
 class TestPolicyNames:
     def test_canonical_names_pass_through(self):
+        assert SCHEDULING_POLICIES == ("serial", "threaded")
         for name in SCHEDULING_POLICIES:
-            assert normalize_policy(name) == name
-
-    def test_simulator_aliases_map_onto_executors(self):
-        assert normalize_policy("dynamic") == "threaded"
-        assert normalize_policy("worklist") == "threaded"
-        assert normalize_policy("static") == "static-blocks"
-        assert normalize_policy("STATIC_BLOCKS") == "static-blocks"
+            assert get_executor(name).policy == name
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduling policy"):
-            normalize_policy("fibers")
+        with pytest.raises(ValueError, match="unknown executor policy"):
+            get_executor("fibers")
 
     def test_get_executor_types(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("dynamic", 4), ThreadedExecutor)
-        assert isinstance(get_executor("static", 4), StaticBlockExecutor)
+        assert isinstance(get_executor("threaded", 4), ThreadedExecutor)
 
     def test_resolve_defaults_follow_workers(self):
         assert resolve_executor(None, 1).policy == "serial"
         assert resolve_executor(None, 4).policy == "threaded"
-        prebuilt = StaticBlockExecutor(3)
+        prebuilt = ThreadedExecutor(3)
         assert resolve_executor(prebuilt, 1) is prebuilt
+
+    @pytest.mark.parametrize("name", RETIRED_POLICIES)
+    def test_retired_policies_rejected(self, name):
+        with pytest.raises(ValueError, match="choose from serial, threaded$"):
+            repro.compress(np.arange(4096, dtype=np.float32), executor=name,
+                           workers=2)
+
+    def test_cli_bench_rejects_a_retired_policy(self, capsys):
+        assert main(["bench", "--codec", "spspeed", "--policy", "process",
+                     "--scale", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown executor policy 'process'")
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_import_loads_no_multiprocessing(self):
+        probe = ("import sys, repro; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'multiprocessing'))")
+        # The fresh interpreter imports this very package.
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "[]"
 
 
 class TestPlans:
@@ -124,7 +147,7 @@ class TestThreadLocality:
     test fails against the old scheme.
     """
 
-    @pytest.mark.parametrize("policy", ["threaded", "static-blocks"])
+    @pytest.mark.parametrize("policy", SCHEDULING_POLICIES)
     def test_one_worker_per_thread(self, policy):
         n_jobs, workers = 64, 7
         lock = threading.Lock()
@@ -254,10 +277,10 @@ class TestTraceContents:
         data = _sample(rng, codec.dtype, 60_000)
         blob = compress_bytes(data, codec)
         collector = TraceCollector()
-        decompress_bytes(blob, workers=2, executor="static-blocks",
+        decompress_bytes(blob, workers=2, executor="threaded",
                          trace=collector)
         assert collector.direction == "decompress"
-        assert collector.policy == "static-blocks"
+        assert collector.policy == "threaded"
         assert collector.workers == 2
         assert sum(t.original_len for t in collector.chunks) >= len(data)
 
@@ -271,7 +294,7 @@ class TestTraceContents:
 class TestAPIPassthrough:
     def test_api_accepts_executor_and_trace(self, smooth_f32):
         collector = TraceCollector()
-        blob = repro.compress(smooth_f32, executor="static-blocks", workers=3,
+        blob = repro.compress(smooth_f32, executor="threaded", workers=3,
                               trace=collector)
         assert blob == repro.compress(smooth_f32)
         assert collector.n_chunks > 1
@@ -282,99 +305,10 @@ class TestAPIPassthrough:
         assert out.direction == "decompress"
 
 
-class TestPooledExecutor:
-    """The persistent pool the service shares across codec jobs.
-
-    Must honour the full executor contract (results in index order,
-    workers built inside their threads, lowest-index error) *and* stay
-    correct when several ``run()`` calls race on one pool — the serving
-    scenario a per-run thread spawn would make pathological.
-    """
-
-    def test_byte_identical_to_serial_compression(self, rng):
-        codec = get_codec("spratio")
-        data = _sample(rng, codec.dtype, 60_000)
-        reference = compress_bytes(data, codec, executor="serial")
-        with PooledThreadedExecutor(4) as pool:
-            for workers in (1, 4):
-                blob = compress_bytes(data, codec, workers=workers, executor=pool)
-                assert blob == reference
-                back, _ = decompress_bytes(blob, executor=pool)
-                assert back == data
-
-    def test_results_in_index_order(self):
-        with PooledThreadedExecutor(3) as pool:
-            results = pool.run(50, lambda worker_id: (lambda i: i * 10))
-        assert results == [i * 10 for i in range(50)]
-
-    def test_zero_jobs(self):
-        with PooledThreadedExecutor(2) as pool:
-            assert pool.run(0, lambda worker_id: (lambda i: i)) == []
-
-    def test_workers_built_inside_pool_threads(self):
-        main = threading.current_thread()
-        built_on: list[threading.Thread] = []
-        lock = threading.Lock()
-
-        def make_worker(worker_id: int):
-            with lock:
-                built_on.append(threading.current_thread())
-            return lambda i: i
-
-        with PooledThreadedExecutor(4) as pool:
-            pool.run(16, make_worker)
-        assert all(t is not main for t in built_on)
-        assert all(t.name.startswith("repro-pool") for t in built_on)
-
-    def test_concurrent_runs_share_one_pool(self):
-        failures: list[BaseException] = []
-
-        def one_run(salt: int) -> None:
-            try:
-                results = pool.run(
-                    40, lambda worker_id: (lambda i: i + salt)
-                )
-                assert results == [i + salt for i in range(40)]
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                failures.append(exc)
-
-        with PooledThreadedExecutor(4) as pool:
-            threads = [
-                threading.Thread(target=one_run, args=(salt,))
-                for salt in (0, 1000, 2000, 3000)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert not failures, failures
-
-    def test_lowest_index_error_wins(self):
-        def make_worker(worker_id: int):
-            def job(i: int) -> int:
-                if i in (9, 4, 13):
-                    raise RuntimeError(f"boom {i}")
-                return i
-
-            return job
-
-        with PooledThreadedExecutor(4) as pool:
-            with pytest.raises(RuntimeError, match="boom 4"):
-                pool.run(20, make_worker)
-            # The pool survives a failed batch.
-            assert pool.run(5, lambda w: (lambda i: i)) == list(range(5))
-
-    def test_close_is_idempotent(self):
-        pool = PooledThreadedExecutor(2)
-        pool.run(4, lambda w: (lambda i: i))
-        pool.close()
-        pool.close()
-
-
 class TestFailureContainment:
-    """One bad job must not poison the worklist (threaded or blocked)."""
+    """One bad job must not poison the threaded worklist."""
 
-    @pytest.mark.parametrize("policy", ["threaded", "static-blocks"])
+    @pytest.mark.parametrize("policy", ["threaded"])
     def test_other_jobs_still_run_after_a_failure(self, policy):
         ran: set[int] = set()
         lock = threading.Lock()
@@ -395,10 +329,10 @@ class TestFailureContainment:
         # Every healthy job completed despite two failures mid-worklist.
         assert ran == set(range(16)) - {3, 7}
 
-    @pytest.mark.parametrize("policy", ["threaded", "static-blocks"])
+    @pytest.mark.parametrize("policy", SCHEDULING_POLICIES)
     def test_lowest_index_error_wins(self, policy):
-        # Serial order raises the first failing index; parallel policies
-        # must report the same one for deterministic error messages.
+        # Serial order raises the first failing index; the threaded
+        # worklist must report the same one for deterministic messages.
         def make_worker(worker_id: int):
             def job(i: int) -> int:
                 if i in (5, 11, 2):

@@ -14,8 +14,10 @@ elements before the split point and the ratio codec's restart-framed
 container over the rest.  Its halves' encode paths are the fixed
 codecs' own, so it runs the decode paths only.
 
-The process pool starts worker processes, too slow for every draw, so it
-runs on one fixed example per codec only (``process=True``).
+Fixed examples pin what a draw of at most 6 chunks cannot reach: more
+chunks than the 7-worker schedule has threads, and a 29-chunk SPspeed
+and DPspeed case whose batched serial decode runs MPLG's grouped kernel
+(groups of at least ``_MIN_DECODE_GROUP`` = 24 equal-geometry chunks).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.core.compressor import (
     decompress_bytes,
     decompress_range_bytes,
 )
-from repro.core.executors import SharedMemoryProcessExecutor
 from repro.core.incremental import StreamingCompressor, StreamingDecompressor
 
 CODECS = {
@@ -44,13 +45,16 @@ DTYPE_CODES = {np.float32: fmt.DTYPE_F32, np.float64: fmt.DTYPE_F64}
 CHUNK_SIZES = (1024, 4096, 16384)
 KINDS = ("smooth", "noise", "mixed")
 
-#: Every thread-side encode/decode schedule compared to the reference.
+#: Every encode/decode schedule compared to the reference: batched and
+#: per-chunk blocks each under 2 and 3 threads, and more threads than
+#: most draws have chunks.
 SCHEDULES = (
     {"executor": "serial", "batch": True},
     {"executor": "threaded", "workers": 2, "batch": False},
+    {"executor": "threaded", "workers": 2, "batch": True},
+    {"executor": "threaded", "workers": 3, "batch": False},
     {"executor": "threaded", "workers": 3},
-    {"executor": "static-blocks", "workers": 2, "batch": True},
-    {"executor": "static-blocks", "workers": 3, "batch": False},
+    {"executor": "threaded", "workers": 7},
 )
 
 
@@ -109,10 +113,11 @@ def cases(draw) -> Case:
     )
 
 
-def _fixed(codec: str, dtype) -> Case:
-    """A 4.5-chunk smooth case with every flag on (the process examples)."""
+def _fixed(codec: str, dtype, full_chunks: int = 4) -> Case:
+    """A smooth case of ``full_chunks`` chunks plus a half chunk, with
+    every flag on."""
     per_chunk = 4096 // np.dtype(dtype).itemsize
-    n = 4 * per_chunk + per_chunk // 2
+    n = full_chunks * per_chunk + per_chunk // 2
     return Case(dtype=dtype, codec=codec, chunk_size=4096, n_items=n,
                 kind="smooth", seed=7, fcm="restart", checksum=True,
                 chunk_checksums=True, split=n // 3,
@@ -168,25 +173,19 @@ def _streamed_decode(blob: bytes) -> bytes:
     return b"".join(out)
 
 
-def _check_encode_paths(case: Case, data: bytes, reference: bytes, process) -> None:
+def _check_encode_paths(case: Case, data: bytes, reference: bytes) -> None:
     for schedule in SCHEDULES:
         assert _compress(case, data, **schedule) == reference, schedule
-    if process is not None:
-        for batch in (True, False):
-            assert _compress(case, data, executor=process, batch=batch) == reference
     streamable = (case.seekable
                   and not fmt.inspect_container(reference).raw_fallback)
     if streamable:
         assert _streamed_encode(case, data) == reference
 
 
-def _check_decode_paths(case: Case, array: np.ndarray, blob: bytes, process) -> None:
+def _check_decode_paths(case: Case, array: np.ndarray, blob: bytes) -> None:
     data = array.tobytes()
     itemsize = array.itemsize
-    schedules = SCHEDULES + (() if process is None else
-                             ({"executor": process, "batch": True},
-                              {"executor": process, "batch": False}))
-    for schedule in schedules:
+    for schedule in SCHEDULES:
         assert decompress_bytes(blob, **schedule)[0] == data, schedule
         got, _, report = decompress_bytes(blob, errors="salvage", **schedule)
         assert got == data and report.ok, schedule
@@ -210,27 +209,24 @@ def _check_decode_paths(case: Case, array: np.ndarray, blob: bytes, process) -> 
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=cases(), process=st.just(False))
-@example(case=_fixed("spspeed", np.float32), process=True)
-@example(case=_fixed("spratio", np.float32), process=True)
-@example(case=_fixed("dpspeed", np.float64), process=True)
-@example(case=_fixed("dpratio", np.float64), process=True)
-# Process-pool decode of a v4 container with a DPratio member.
-@example(case=_fixed("mixed", np.float64), process=True)
+@given(case=cases())
+@example(case=_fixed("spspeed", np.float32))
+@example(case=_fixed("spratio", np.float32))
+@example(case=_fixed("dpspeed", np.float64))
+@example(case=_fixed("dpratio", np.float64))
+# Threaded decode of a v4 container with a DPratio member.
+@example(case=_fixed("mixed", np.float64))
+# 29 chunks: MPLG's grouped decode under the batched serial schedule.
+@example(case=_fixed("spspeed", np.float32, full_chunks=28))
+@example(case=_fixed("dpspeed", np.float64, full_chunks=28))
 # Concat of two empty FCM containers must stay decodable.
 @example(case=Case(dtype=np.float64, codec="dpratio", chunk_size=4096, n_items=0,
                    kind="smooth", seed=0, fcm="restart", checksum=True,
-                   chunk_checksums=True, split=0, slices=((0, 0),)),
-         process=False)
-def test_every_path_agrees(case: Case, process: bool) -> None:
+                   chunk_checksums=True, split=0, slices=((0, 0),)))
+def test_every_path_agrees(case: Case) -> None:
     array = case.array()
     data = array.tobytes()
     reference = _reference(case, data)
-    pool = SharedMemoryProcessExecutor(2) if process else None
-    try:
-        if case.codec != "mixed":
-            _check_encode_paths(case, data, reference, pool)
-        _check_decode_paths(case, array, reference, pool)
-    finally:
-        if pool is not None:
-            pool.close()
+    if case.codec != "mixed":
+        _check_encode_paths(case, data, reference)
+    _check_decode_paths(case, array, reference)

@@ -268,7 +268,7 @@ class TestPlanMatchesReference:
 
 
 class TestExecutorsOverRanges:
-    @pytest.mark.parametrize("policy", ["threaded", "static-blocks", "process"])
+    @pytest.mark.parametrize("policy", ["threaded"])
     def test_policies_match_serial(self, policy, rng):
         data, blob = _seekable_blob(rng, "dpratio")
         start, stop = CHUNK_SIZE // 2, 7 * CHUNK_SIZE + 11

@@ -8,11 +8,32 @@ import pytest
 from repro.core.codecs import get_codec
 from repro.device import RTX4090, RYZEN_2950X
 from repro.device.execution import (
+    SIMULATED_POLICIES,
     WorklistSimulator,
     chunk_work_estimates,
     lookback_write_completion,
+    normalize_policy,
     simulate_encoder,
 )
+
+
+class TestPolicyNames:
+    """The simulator owns the schedule vocabulary, static blocks included."""
+
+    def test_canonical_names_pass_through(self):
+        for name in SIMULATED_POLICIES:
+            assert normalize_policy(name) == name
+
+    def test_simulator_aliases_map_onto_canonical_names(self):
+        assert normalize_policy("dynamic") == "threaded"
+        assert normalize_policy("worklist") == "threaded"
+        assert normalize_policy("static") == "static-blocks"
+        assert normalize_policy("STATIC_BLOCKS") == "static-blocks"
+
+    @pytest.mark.parametrize("name", ["fibers", "process"])
+    def test_unknown_policy_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            normalize_policy(name)
 
 
 class TestWorklist:

@@ -40,7 +40,7 @@ class TestBenchMeasured:
                      "--codec", "spratio"]) == 0
         out = capsys.readouterr().out
         # per-executor measured rows name their policy
-        for policy in ("serial", "threaded", "static-blocks"):
+        for policy in ("serial", "threaded"):
             assert policy in out
         # per-chunk stage timings and sizes from the traced run
         for stage in ("diffms", "bit", "rze"):

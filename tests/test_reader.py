@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.archive import Archive, append_archive, write_archive
 from repro.core import container as fmt
+from repro.core.executors import ThreadedExecutor
 from repro.errors import ChecksumError
 from repro.reader import ContainerReader
 
@@ -66,10 +67,10 @@ class TestContainerReader:
         with pytest.raises(ValueError, match="closed"):
             reader[0:1]
 
-    def test_mmap_with_process_executor(self, field, blob, tmp_path):
+    def test_mmap_with_threaded_executor(self, field, blob, tmp_path):
         path = tmp_path / "field.fprz"
         path.write_bytes(blob)
-        with ContainerReader(path, workers=2, executor="process") as reader:
+        with ContainerReader(path, workers=2, executor="threaded") as reader:
             assert np.array_equal(reader[1_000:21_000], field[1_000:21_000])
 
     def test_raw_bytes_container(self, rng):
@@ -156,7 +157,7 @@ class TestArchiveRandomAccess:
         return Archive.from_bytes(write_archive(members))
 
     def test_read_accepts_executor_policies(self, archive, members):
-        for policy in ["serial", "threaded", "static-blocks", "process"]:
+        for policy in ["serial", "threaded", ThreadedExecutor(3)]:
             got = archive.read("P", workers=2, policy=policy)
             assert np.array_equal(got, members["P"])
 
